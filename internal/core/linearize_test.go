@@ -407,18 +407,20 @@ func TestLinearizabilityCheckerCatchesBrokenStore(t *testing.T) {
 }
 
 // TestBrokenReadIndexStaleReadsRejected proves the checker guards the
-// ReadIndex protocol itself: raft.Config.UnsafeLocalReads skips the
-// leadership-confirmation quorum round, so a deposed leader that has
-// not heard about the new term keeps serving reads from its stale
-// state machine. The recorded history — put v1, read v1, put v2 (new
-// leader), read v1 (old leader) — is sequential, so only the
-// linearizability checker can reject it.
+// ReadIndex protocol itself. A read that skips the leadership-
+// confirmation quorum round answers from the local state machine
+// alone, so a deposed leader that has not heard about the new term
+// serves stale values. The test performs that broken read itself, on
+// the deposed leader's own database. The recorded history — put v1,
+// read v1, put v2 (new leader), read v1 (old leader) — is sequential,
+// so only the linearizability checker can reject it. The real
+// ReadIndex read against the same deposed leader must fail instead.
 func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	f := mercury.NewFabric()
 	var addrs []string
 	nodes := map[string]*raft.Node{}
+	dbs := map[string]yokan.Database{}
 	cfg := chaosRaftCfg()
-	cfg.UnsafeLocalReads = true // the deliberate protocol break
 	var insts []*margo.Instance
 	for i := 0; i < 3; i++ {
 		cls, err := f.NewClass(fmt.Sprintf("stale-%d", i))
@@ -441,6 +443,7 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 		}
 		t.Cleanup(node.Stop)
 		nodes[inst.Addr()] = node
+		dbs[inst.Addr()] = db
 	}
 	newClient := func(name string, seeds []string) (*RaftKVClient, string) {
 		cls, err := f.NewClass(name)
@@ -523,12 +526,29 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	}
 	record(sim.KVInput{Op: sim.KVPut, Key: "k", Value: "v2"}, sim.KVOutput{}, call)
 
-	// The deposed leader, with quorum confirmation disabled, still
-	// thinks it leads and serves its stale state.
+	// The deposed leader still thinks it leads. Its ReadIndex read
+	// cannot confirm leadership without the majority, so it must fail
+	// rather than serve v1.
+	rctx, rcancel := context.WithTimeout(ctx, 500*time.Millisecond)
+	start := time.Now()
+	v, err = reader.Get(rctx, []byte("k"))
+	rcancel()
+	if err == nil {
+		t.Fatalf("deposed leader served a ReadIndex read: %q", v)
+	}
+	if string(v) == "v1" {
+		t.Fatal("deposed leader returned the stale v1 with its error")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("ReadIndex read on the deposed leader took %v to fail", elapsed)
+	}
+
+	// The broken read: answer from the deposed leader's local state
+	// machine with no quorum round.
 	call = ts()
-	v, err = reader.Get(ctx, []byte("k"))
+	v, err = dbs[oldLeader].Get([]byte("k"))
 	if err != nil {
-		t.Fatalf("deposed leader refused the read (UnsafeLocalReads should have served it): %v", err)
+		t.Fatalf("local read on the deposed leader: %v", err)
 	}
 	record(sim.KVInput{Op: sim.KVGet, Key: "k"}, sim.KVOutput{Value: string(v), Found: true}, call)
 	if string(v) != "v1" {

@@ -93,10 +93,8 @@ func TestApplyGroupCommitBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	cfg := fastRaftCfg()
-	cfg.BatchWindow = 2 * time.Millisecond
 	fsm := newKVFSM()
-	node := singleNode(t, fs, fsm, cfg)
+	node := singleNode(t, fs, fsm, fastRaftCfg())
 
 	const ops = 64
 	base := fs.Syncs() // election no-op etc.
@@ -227,6 +225,56 @@ func TestReadIndexServesReads(t *testing.T) {
 		if string(out) != "v2" {
 			t.Fatalf("stale read %q after acknowledged write", out)
 		}
+	}
+}
+
+// TestReadIndexConcurrentReads: concurrent reads on the leader share
+// confirmation rounds, every read that succeeds returns the
+// acknowledged value, and none is left waiting on a round that never
+// releases it.
+func TestReadIndexConcurrentReads(t *testing.T) {
+	c := newRaftCluster(t, 3, fastRaftCfg())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := c.apply(ctx, []byte("set cr v1")); err != nil {
+		t.Fatal(err)
+	}
+	leader := c.waitLeader()
+	const readers = 32
+	start := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			out, err := leader.Read(ctx, []byte("get cr"))
+			if err == nil && string(out) != "v1" {
+				err = fmt.Errorf("stale read %q, want v1", out)
+			}
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	if ctx.Err() != nil {
+		t.Fatal("reads outlived their deadline: a round never released its joiners")
+	}
+	ok := 0
+	for err := range errs {
+		switch {
+		case err == nil:
+			ok++
+		case errors.Is(err, ErrNotLeader), errors.Is(err, ErrNoLeader), errors.Is(err, ErrTimeout):
+			// leadership moved or a quorum round timed out: the client retries
+		default:
+			t.Fatal(err)
+		}
+	}
+	if ok == 0 {
+		t.Fatal("no concurrent read succeeded")
 	}
 }
 

@@ -67,73 +67,35 @@ func (c *Client) retryWait(ctx context.Context) bool {
 
 // Apply submits a command, retrying until ctx expires.
 func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
-	args := applyArgs{Group: c.group, Cmd: cmd}
-	payload := codec.Marshal(&args)
-	target := c.cachedLeader()
-	var lastErr error
-	fast := 0
-	for {
-		candidates := c.seeds
-		if target != "" {
-			candidates = append([]string{target}, c.seeds...)
-		}
-		hinted := false
-		for _, addr := range candidates {
-			out, err := c.inst.Forward(ctx, addr, rpcApply, payload)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			var reply applyReply
-			if err := codec.Unmarshal(out, &reply); err != nil {
-				lastErr = err
-				continue
-			}
-			if reply.OK {
-				c.storeLeader(addr)
-				return reply.Result, nil
-			}
-			lastErr = fmt.Errorf("raft: %s", reply.Err)
-			if reply.LeaderHint != "" && reply.LeaderHint != addr {
-				target = reply.LeaderHint
-				c.storeLeader(target)
-				hinted = true
-				break // try the hinted leader next round
-			}
-		}
-		// A fresh hint retries without sleeping (bounded, so mutually
-		// stale hints cannot hot-loop); otherwise pace the retry.
-		if hinted && fast < 3 {
-			fast++
-			continue
-		}
-		fast = 0
-		if !c.retryWait(ctx) {
-			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last: %v)", ErrTimeout, lastErr)
-			}
-			return nil, ErrTimeout
-		}
-	}
+	return c.call(ctx, rpcApply, cmd)
 }
 
 // Read submits a read-only query over the ReadIndex path (no log
 // entry, no fsync), retrying until ctx expires. The group's FSM must
 // implement ReaderFSM.
 func (c *Client) Read(ctx context.Context, query []byte) ([]byte, error) {
-	args := readArgs{Group: c.group, Query: query}
-	payload := codec.Marshal(&args)
+	return c.call(ctx, rpcRead, query)
+}
+
+// call forwards one client op to the leader, trying the cached leader
+// first and then the seeds, following leader hints and retrying until
+// ctx expires.
+func (c *Client) call(ctx context.Context, rpc string, data []byte) ([]byte, error) {
+	payload := codec.Marshal(&applyArgs{Group: c.group, Cmd: data})
 	target := c.cachedLeader()
 	var lastErr error
 	fast := 0
 	for {
-		candidates := c.seeds
-		if target != "" {
-			candidates = append([]string{target}, c.seeds...)
-		}
 		hinted := false
-		for _, addr := range candidates {
-			out, err := c.inst.Forward(ctx, addr, rpcRead, payload)
+		// i == -1 is the cached or hinted leader, then every seed.
+		for i := -1; i < len(c.seeds); i++ {
+			addr := target
+			if i >= 0 {
+				addr = c.seeds[i]
+			} else if addr == "" {
+				continue
+			}
+			out, err := c.inst.Forward(ctx, addr, rpc, payload)
 			if err != nil {
 				lastErr = err
 				continue

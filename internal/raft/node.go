@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mochi/internal/clock"
+	"mochi/internal/coalesce"
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
@@ -37,20 +38,6 @@ type Config struct {
 	// 1 restores the pre-batching behavior (every proposal pays its
 	// own append), kept as the A/B baseline for the E15 tables.
 	MaxBatchEntries int
-	// BatchWindow makes a group-commit leader linger before appending
-	// so more concurrent proposals can join its batch (default 0:
-	// batches still form naturally while an earlier append holds the
-	// node mutex). Wall-clock, like logdb's batch_window — it
-	// amortizes real fsync latency, not protocol time.
-	BatchWindow time.Duration
-	// UnsafeLocalReads skips the ReadIndex leadership-confirmation
-	// quorum round, so a leader answers reads from local state alone
-	// and a deposed leader serves stale reads — a real
-	// linearizability violation. The knob exists so the simulation
-	// harness can prove its checker rejects exactly that history
-	// (internal/core TestBrokenReadIndexStaleReadsRejected); never
-	// enable it in production.
-	UnsafeLocalReads bool
 }
 
 func (c Config) withDefaults() Config {
@@ -95,28 +82,7 @@ type proposal struct {
 	entry LogEntry
 	idx   uint64
 	term  uint64
-	err   error
 	resCh chan applyResult
-}
-
-// proposalBatch is one group commit in formation. The first proposer
-// becomes the batch leader: it appends every queued entry with one
-// store.Append (one fsync on FileStore), registers every waiter under
-// one mutex acquisition, then closes done to release the followers —
-// the same leader/follower shape as logdb's group commit.
-type proposalBatch struct {
-	props []*proposal
-	done  chan struct{}
-}
-
-// readBatch is one ReadIndex confirmation in formation: every read
-// pending when the round starts rides the same leadership-confirmation
-// heartbeat quorum round.
-type readBatch struct {
-	term uint64
-	n    int
-	err  error
-	done chan struct{}
 }
 
 // applyWaiter parks a ReadIndex read until lastApplied reaches index.
@@ -144,8 +110,8 @@ func raftRegistryFor(inst *margo.Instance) (*raftRegistry, error) {
 			rpcRequestVote:     reg.handleRequestVote,
 			rpcAppendEntries:   reg.handleAppendEntries,
 			rpcInstallSnapshot: reg.handleInstallSnapshot,
-			rpcApply:           reg.handleApply,
-			rpcRead:            reg.handleRead,
+			rpcApply:           reg.handleOp((*Node).Apply),
+			rpcRead:            reg.handleOp((*Node).Read),
 			rpcConfigChange:    reg.handleConfigChange,
 			rpcStatus:          reg.handleStatus,
 		}
@@ -203,25 +169,13 @@ type Node struct {
 
 	met *nodeMetrics
 
-	// Group-commit proposal path: propMu guards only the forming
-	// batch, never held across I/O or n.mu. commitMu serializes batch
-	// leaders; a leader detaches its batch only after acquiring it, so
-	// the forming batch keeps absorbing proposals for as long as the
-	// previous batch's append (and fsync) is in flight — that window,
-	// not the optional BatchWindow linger, is what grows batches under
-	// load.
-	propMu      sync.Mutex
-	propPending *proposalBatch
-	commitMu    sync.Mutex
-
-	// ReadIndex path: readMu guards the forming read batch; roundMu
-	// serializes confirmation rounds, so a batch formed while a round
-	// is in flight waits for the next one. That ordering matters for
-	// safety: every member of a batch recorded its read index before
-	// the round that confirms it sends a single RPC.
-	readMu      sync.Mutex
-	readPending *readBatch
-	roundMu     sync.Mutex
+	// props coalesces concurrent Apply proposals into leader group
+	// commits: a round keeps absorbing proposals for as long as the
+	// previous round's append (and fsync) is in flight, which is what
+	// grows rounds under load. reads coalesces ReadIndex reads, keyed
+	// by the term each recorded, into leadership-confirmation rounds.
+	props coalesce.Group[*proposal]
+	reads coalesce.Group[uint64]
 
 	// applyWaiters are ReadIndex reads parked until lastApplied
 	// reaches their index; guarded by mu, signaled by the applier.
@@ -256,6 +210,8 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		rng:           rand.New(rand.NewSource(int64(mercury.NameToID(inst.Addr() + "/" + group)))),
 		met:           newNodeMetrics(inst.Metrics(), group),
 	}
+	n.props.Max = n.cfg.MaxBatchEntries
+	n.props.Linger = n.lingerForApplied
 	// Recover persistent state.
 	term, voted, err := store.State()
 	if err != nil {
@@ -990,16 +946,16 @@ func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 		entry: LogEntry{Type: EntryCommand, Data: cmd},
 		resCh: make(chan applyResult, 1),
 	}
-	b, lead := n.enqueueProposal(p)
-	if lead {
-		n.leadProposals(b)
+	var err error
+	if r, lead := n.props.Join(p); lead {
+		err = n.props.Lead(r, n.appendProposals)
 	} else {
-		// Bounded wait: the batch leader always closes done, even on
+		// Bounded wait: the round leader always releases it, even on
 		// stop or step-down.
-		<-b.done
+		err = r.Wait()
 	}
-	if p.err != nil {
-		return nil, p.err
+	if err != nil {
+		return nil, err
 	}
 	select {
 	case res, ok := <-p.resCh:
@@ -1023,90 +979,53 @@ func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 	}
 }
 
-// enqueueProposal adds p to the forming batch, starting a fresh one if
-// none is pending or the pending one is full. Returns the batch and
-// whether the caller became its leader.
-func (n *Node) enqueueProposal(p *proposal) (*proposalBatch, bool) {
-	n.propMu.Lock()
-	b := n.propPending
-	lead := b == nil || len(b.props) >= n.cfg.MaxBatchEntries
-	if lead {
-		b = &proposalBatch{done: make(chan struct{})}
-		n.propPending = b
+// lingerForApplied is the proposal rounds' adaptive linger: while
+// earlier entries are appended but not yet applied, hold off detaching
+// the forming round — commit latency is gated on their replication
+// anyway, and every proposal arriving in the meantime joins it.
+// Without this gate the group is metastable: once proposals start
+// arriving one replication round apart, each finds the pipeline idle,
+// appends alone, and keeps the one-fsync-per-op lockstep going. The
+// wait is bounded so a stalled pipeline (lost leadership mid-wait)
+// degrades to appendProposals' role check instead of hanging.
+func (n *Node) lingerForApplied() {
+	n.mu.Lock()
+	last := n.store.LastIndex()
+	if last <= n.lastApplied || n.stopped || n.role != Leader {
+		n.mu.Unlock()
+		return
 	}
-	b.props = append(b.props, p)
-	n.propMu.Unlock()
-	return b, lead
+	ch := make(chan struct{})
+	n.applyWaiters = append(n.applyWaiters, applyWaiter{index: last, ch: ch})
+	n.mu.Unlock()
+	t := n.clk.NewTimer(n.cfg.HeartbeatInterval)
+	select {
+	case <-ch:
+	case <-t.C():
+	case <-n.stopCh:
+	}
+	t.Stop()
 }
 
-// leadProposals runs one group commit: optionally linger so more
-// proposals join, wait for the previous batch leader to finish, detach
-// the batch, then assign contiguous indexes and persist every entry
-// with a single store.Append under one node-mutex acquisition.
-//
-// The detach happens only after commitMu is held: while an earlier
-// batch's fsync is in flight, this batch stays pending and keeps
-// absorbing concurrent proposals, which is where multi-entry batches
-// come from even with BatchWindow 0.
-func (n *Node) leadProposals(b *proposalBatch) {
-	if n.cfg.BatchWindow > 0 {
-		// Wall-clock on purpose (like logdb's batch window): the
-		// linger amortizes real fsync latency, which the simulated
-		// clock does not model.
-		time.Sleep(n.cfg.BatchWindow)
-	}
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
-	if n.cfg.BatchWindow == 0 {
-		// Adaptive linger: while earlier entries are appended but not
-		// yet applied, hold off detaching — commit latency is gated on
-		// their replication anyway, and every proposal arriving in the
-		// meantime joins this batch. Without this gate the group is
-		// metastable: once proposals start arriving one replication
-		// round apart, each finds the pipeline idle, appends alone, and
-		// keeps the one-fsync-per-op lockstep going. The wait is
-		// bounded so a stalled pipeline (lost leadership mid-wait)
-		// degrades to the role check below instead of hanging.
-		n.mu.Lock()
-		if last := n.store.LastIndex(); last > n.lastApplied && !n.stopped && n.role == Leader {
-			ch := make(chan struct{})
-			n.applyWaiters = append(n.applyWaiters, applyWaiter{index: last, ch: ch})
-			n.mu.Unlock()
-			t := n.clk.NewTimer(n.cfg.HeartbeatInterval)
-			select {
-			case <-ch:
-			case <-t.C():
-			case <-n.stopCh:
-			}
-			t.Stop()
-		} else {
-			n.mu.Unlock()
-		}
-	}
-	n.propMu.Lock()
-	if n.propPending == b {
-		n.propPending = nil
-	}
-	n.propMu.Unlock()
-
+// appendProposals runs one detached proposal round: assign contiguous
+// indexes and persist every entry with a single store.Append under
+// one node-mutex acquisition, register the waiters, and wake the
+// replicators. An error fails every proposal of the round.
+func (n *Node) appendProposals(props []*proposal) error {
 	n.mu.Lock()
 	if n.stopped {
-		failProposals(b, ErrStopped)
 		n.mu.Unlock()
-		close(b.done)
-		return
+		return ErrStopped
 	}
 	if n.role != Leader {
 		err := leaderError(n.leader)
-		failProposals(b, err)
 		n.mu.Unlock()
-		close(b.done)
-		return
+		return err
 	}
 	base := n.store.LastIndex()
 	term := n.term
-	entries := make([]LogEntry, len(b.props))
-	for i, p := range b.props {
+	entries := make([]LogEntry, len(props))
+	for i, p := range props {
 		p.entry.Index = base + 1 + uint64(i)
 		p.entry.Term = term
 		entries[i] = p.entry
@@ -1118,30 +1037,22 @@ func (n *Node) leadProposals(b *proposalBatch) {
 		n.met.appendErrors.Inc()
 		n.role = Follower
 		n.leaderGen++
-		failProposals(b, fmt.Errorf("raft: leader store append: %w", err))
 		n.mu.Unlock()
 		n.resetElectionTimer()
-		close(b.done)
-		return
+		return fmt.Errorf("raft: leader store append: %w", err)
 	}
-	last := base + uint64(len(b.props))
+	last := base + uint64(len(props))
 	n.matchIndex[n.id] = last
-	for _, p := range b.props {
+	for _, p := range props {
 		p.idx = p.entry.Index
 		p.term = term
 		n.waiters[p.idx] = p.resCh
 	}
 	n.mu.Unlock()
-	n.met.batchEntries.Observe(float64(len(b.props)))
-	close(b.done)
+	n.met.batchEntries.Observe(float64(len(props)))
 	n.notifyReplicators()
 	n.advanceCommit() // single-node fast path
-}
-
-func failProposals(b *proposalBatch, err error) {
-	for _, p := range b.props {
-		p.err = err
-	}
+	return nil
 }
 
 // --- ReadIndex ---
@@ -1184,10 +1095,8 @@ func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {
 			// term is committed (the no-op appended at election
 			// guarantees this happens promptly), so commitIndex covers
 			// everything committed by earlier leaders.
-			if !n.cfg.UnsafeLocalReads {
-				if err := n.confirmLeadership(ctx, term); err != nil {
-					return nil, err
-				}
+			if err := n.confirmLeadership(ctx, term); err != nil {
+				return nil, err
 			}
 			if err := n.waitApplied(ctx, readIndex); err != nil {
 				return nil, err
@@ -1211,43 +1120,37 @@ func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {
 }
 
 // confirmLeadership establishes that this node still led term by
-// completing one heartbeat quorum round. Concurrent reads batch: the
-// first pending read becomes the round leader and one round serves
-// every read queued behind it. Reads arriving while a round is in
-// flight form the next batch — they must not ride the current one,
-// because the safety argument needs every member's read index recorded
-// before the round's replies arrive, and roundMu enforces exactly
-// that by detaching the batch before the round starts.
+// completing one heartbeat quorum round. Concurrent reads share
+// rounds: the first read of a round leads it, and a read that joins
+// while a round is in flight lands in the next one — the safety
+// argument needs every member's read index recorded before its round
+// sends a single RPC. A round confirms its leader's term; a member
+// that recorded another term fails with the leader error and the
+// client retries.
 func (n *Node) confirmLeadership(ctx context.Context, term uint64) error {
-	n.readMu.Lock()
-	if b := n.readPending; b != nil && b.term == term {
-		b.n++
-		n.readMu.Unlock()
-		select {
-		case <-b.done:
-			return b.err
-		case <-ctx.Done():
-			return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-		case <-n.stopCh:
-			return ErrStopped
-		}
+	r, lead := n.reads.Join(term)
+	if lead {
+		return n.reads.Lead(r, func(terms []uint64) error {
+			err := n.heartbeatQuorum(ctx, term)
+			n.met.readRounds.Inc()
+			n.met.readBatch.Observe(float64(len(terms)))
+			return err
+		})
 	}
-	b := &readBatch{term: term, n: 1, done: make(chan struct{})}
-	n.readPending = b
-	n.readMu.Unlock()
-
-	n.roundMu.Lock()
-	n.readMu.Lock()
-	if n.readPending == b {
-		n.readPending = nil
+	select {
+	case <-r.Done():
+	case <-ctx.Done():
+		return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+	case <-n.stopCh:
+		return ErrStopped
 	}
-	n.readMu.Unlock()
-	b.err = n.heartbeatQuorum(ctx, term)
-	n.roundMu.Unlock()
-	n.met.readRounds.Inc()
-	n.met.readBatch.Observe(float64(b.n))
-	close(b.done)
-	return b.err
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if r.Items()[0] != term {
+		return leaderError(n.Leader())
+	}
+	return nil
 }
 
 // heartbeatQuorum sends one empty AppendEntries to every peer and
@@ -1706,54 +1609,34 @@ func (n *Node) onInstallSnapshot(args *installSnapshotArgs) *appendEntriesReply 
 	return reply
 }
 
-func (r *raftRegistry) handleApply(_ context.Context, h *mercury.Handle) {
-	var args applyArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
+// handleOp returns the handler of a client op RPC (rpcApply, rpcRead):
+// run the payload through op on the group's node under the handler
+// deadline and reply with the result, or the error and a leader hint.
+func (r *raftRegistry) handleOp(op func(*Node, context.Context, []byte) ([]byte, error)) margo.Handler {
+	return func(_ context.Context, h *mercury.Handle) {
+		var args applyArgs
+		if err := codec.Unmarshal(h.Input(), &args); err != nil {
+			_ = h.RespondError(err)
+			return
+		}
+		n := r.lookup(args.Group)
+		if n == nil {
+			_ = h.Respond(codec.Marshal(&applyReply{Err: "unknown group"}))
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.ElectionTimeoutMax)
+		defer cancel()
+		result, err := op(n, ctx, args.Cmd)
+		reply := applyReply{}
+		if err != nil {
+			reply.Err = err.Error()
+			reply.LeaderHint = n.Leader()
+		} else {
+			reply.OK = true
+			reply.Result = result
+		}
+		_ = h.Respond(codec.Marshal(&reply))
 	}
-	n := r.lookup(args.Group)
-	if n == nil {
-		_ = h.Respond(codec.Marshal(&applyReply{Err: "unknown group"}))
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.ElectionTimeoutMax)
-	defer cancel()
-	result, err := n.Apply(ctx, args.Cmd)
-	reply := applyReply{}
-	if err != nil {
-		reply.Err = err.Error()
-		reply.LeaderHint = n.Leader()
-	} else {
-		reply.OK = true
-		reply.Result = result
-	}
-	_ = h.Respond(codec.Marshal(&reply))
-}
-
-func (r *raftRegistry) handleRead(_ context.Context, h *mercury.Handle) {
-	var args readArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	n := r.lookup(args.Group)
-	if n == nil {
-		_ = h.Respond(codec.Marshal(&applyReply{Err: "unknown group"}))
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.ElectionTimeoutMax)
-	defer cancel()
-	result, err := n.Read(ctx, args.Query)
-	reply := applyReply{}
-	if err != nil {
-		reply.Err = err.Error()
-		reply.LeaderHint = n.Leader()
-	} else {
-		reply.OK = true
-		reply.Result = result
-	}
-	_ = h.Respond(codec.Marshal(&reply))
 }
 
 func (r *raftRegistry) handleConfigChange(_ context.Context, h *mercury.Handle) {

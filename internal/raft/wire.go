@@ -146,6 +146,8 @@ func (a *installSnapshotArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.Data = append([]byte(nil), d.BytesField()...)
 }
 
+// applyArgs carries a client op: a command for rpcApply, a ReadIndex
+// query for rpcRead. Both reply with applyReply.
 type applyArgs struct {
 	Group string
 	Cmd   []byte
@@ -159,22 +161,6 @@ func (a *applyArgs) MarshalMochi(e *codec.Encoder) {
 func (a *applyArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.Group = d.String()
 	a.Cmd = append([]byte(nil), d.BytesField()...)
-}
-
-// readArgs carries a ReadIndex query; the reply reuses applyReply.
-type readArgs struct {
-	Group string
-	Query []byte
-}
-
-func (a *readArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.BytesField(a.Query)
-}
-
-func (a *readArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Query = append([]byte(nil), d.BytesField()...)
 }
 
 type applyReply struct {

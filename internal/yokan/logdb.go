@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mochi/internal/coalesce"
 	"mochi/internal/codec"
 )
 
@@ -17,15 +18,14 @@ import (
 // files REMI migrates and whose checkpoints land on the "parallel
 // file system" (§7, Observation 9).
 //
-// Writes go through group commit: concurrent writers enqueue their
-// records into a shared batch and the first of them (the leader)
-// writes every record with one file write and one fsync, then applies
-// the index updates in enqueue order and wakes the batch. While a
-// leader is inside the commit, later writers form the next batch, so
-// under load the fsync cost is amortised over the whole convoy; an
-// optional batch_window makes the leader linger to widen batches
-// further. Reads never queue behind a commit — they go straight to
-// the internally locked index.
+// Writes go through group commit (a coalesce.Group serialized by
+// commitMu): concurrent writers join a round and its leader writes
+// every record with one file write and one fsync, then applies the
+// index updates in join order. While a round commits, later writers
+// form the next one, so under load the fsync cost is amortised over
+// the whole convoy; an optional batch_window makes the leader linger
+// to widen rounds further. Reads never queue behind a commit — they go
+// straight to the internally locked index.
 type logDB struct {
 	path   string
 	noSync bool
@@ -38,10 +38,7 @@ type logDB struct {
 	index  *skipDB
 	closed atomic.Bool
 
-	// batchMu guards the forming batch only; it is never held across
-	// I/O.
-	batchMu sync.Mutex
-	pending *logBatch
+	rounds coalesce.Group[*logOp]
 
 	// commitMu serializes commits, compaction, flush, and file
 	// lifecycle.
@@ -49,7 +46,7 @@ type logDB struct {
 	file     *os.File
 	// garbage counts dead records; Compact resets it.
 	garbage int
-	// frame is the commit staging buffer, reused across batches.
+	// frame is the commit staging buffer, reused across rounds.
 	frame []byte
 }
 
@@ -77,7 +74,7 @@ func (r *logRecord) UnmarshalMochi(d *codec.Decoder) {
 }
 
 // logOp is one queued mutation. The key/value slices are borrowed
-// from the caller, which stays blocked until the batch commits, so
+// from the caller, which stays blocked until its round commits, so
 // the leader may read them without copying; the index copies on
 // apply.
 type logOp struct {
@@ -85,13 +82,6 @@ type logOp struct {
 	key   []byte
 	value []byte
 	err   error
-}
-
-// logBatch is one group commit in formation. done closes after the
-// leader has written, synced, applied, and filled every op's err.
-type logBatch struct {
-	ops  []*logOp
-	done chan struct{}
 }
 
 func openLogDB(path string, noSync bool, window time.Duration, direct bool) (*logDB, error) {
@@ -107,6 +97,7 @@ func openLogDB(path string, noSync bool, window time.Duration, direct bool) (*lo
 		direct = true
 	}
 	d := &logDB{path: path, file: f, index: newSkipDB(), noSync: noSync, window: window, direct: direct}
+	d.rounds.Lock = &d.commitMu
 	if err := d.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -181,53 +172,18 @@ func appendFrame(buf []byte, op uint8, key, value []byte) []byte {
 	return buf
 }
 
-// enqueue joins ops to the forming batch, reporting whether the
-// caller became its leader.
-func (d *logDB) enqueue(ops ...*logOp) (*logBatch, bool) {
-	d.batchMu.Lock()
-	b := d.pending
-	leader := b == nil
-	if leader {
-		b = &logBatch{done: make(chan struct{})}
-		d.pending = b
-	}
-	b.ops = append(b.ops, ops...)
-	d.batchMu.Unlock()
-	return b, leader
-}
-
-// lead runs one group commit: optionally linger to let more writers
-// join, detach the batch, then write + sync + apply under commitMu.
-func (d *logDB) lead(b *logBatch) {
-	if d.window > 0 {
-		// wall-clock: the linger window is a storage-throughput knob
-		// (batching real fsync latency), not a protocol timeout — it
-		// stays on real time even inside simulations.
-		time.Sleep(d.window)
-	}
-	d.commitMu.Lock()
-	d.batchMu.Lock()
-	if d.pending == b {
-		d.pending = nil
-	}
-	d.batchMu.Unlock()
-	d.commitLocked(b)
-	d.commitMu.Unlock()
-	close(b.done)
-}
-
 // commitLocked decides each op's outcome, writes all surviving
 // records with one write + one fsync, and applies them to the index
-// in enqueue order. Caller holds commitMu.
-func (d *logDB) commitLocked(b *logBatch) {
+// in join order. Caller holds commitMu.
+func (d *logDB) commitLocked(ops []*logOp) error {
 	if d.closed.Load() {
-		for _, op := range b.ops {
+		for _, op := range ops {
 			op.err = ErrClosed
 		}
-		return
+		return nil
 	}
 	// overlay tracks presence changes made by earlier ops in this
-	// batch, so within-batch sequences (put then erase of the same
+	// round, so within-round sequences (put then erase of the same
 	// key) resolve exactly as they would serially.
 	var overlay map[string]bool
 	exists := func(key []byte) bool {
@@ -241,13 +197,13 @@ func (d *logDB) commitLocked(b *logBatch) {
 	}
 	note := func(key []byte, present bool) {
 		if overlay == nil {
-			overlay = make(map[string]bool, len(b.ops))
+			overlay = make(map[string]bool, len(ops))
 		}
 		overlay[string(key)] = present
 	}
 	buf := d.frame[:0]
 	accepted := 0
-	for _, op := range b.ops {
+	for _, op := range ops {
 		switch op.op {
 		case logOpPut:
 			if exists(op.key) {
@@ -269,7 +225,7 @@ func (d *logDB) commitLocked(b *logBatch) {
 	}
 	d.frame = buf[:0]
 	if accepted == 0 {
-		return
+		return nil
 	}
 	var ioErr error
 	if _, err := d.file.Write(buf); err != nil {
@@ -278,14 +234,14 @@ func (d *logDB) commitLocked(b *logBatch) {
 		ioErr = d.file.Sync()
 	}
 	if ioErr != nil {
-		for _, op := range b.ops {
+		for _, op := range ops {
 			if op.err == nil {
 				op.err = ioErr
 			}
 		}
-		return
+		return nil
 	}
-	for _, op := range b.ops {
+	for _, op := range ops {
 		if op.err != nil {
 			continue
 		}
@@ -298,23 +254,27 @@ func (d *logDB) commitLocked(b *logBatch) {
 			}
 		}
 	}
+	return nil
 }
 
 // run pushes ops through a group commit (or the serial baseline) and
-// returns the first op's error.
+// returns the first op's error. commitLocked reports outcomes per op,
+// so the round's own outcome is always nil.
 func (d *logDB) run(ops ...*logOp) error {
 	if d.direct {
 		d.commitMu.Lock()
-		b := logBatch{ops: ops}
-		d.commitLocked(&b)
+		d.commitLocked(ops)
 		d.commitMu.Unlock()
-	} else {
-		b, leader := d.enqueue(ops...)
-		if leader {
-			d.lead(b)
-		} else {
-			<-b.done
+	} else if r, lead := d.rounds.Join(ops...); lead {
+		if d.window > 0 {
+			// wall-clock: the linger window is a storage-throughput
+			// knob (batching real fsync latency), not a protocol
+			// timeout — it stays on real time even inside simulations.
+			time.Sleep(d.window)
 		}
+		d.rounds.Lead(r, d.commitLocked)
+	} else {
+		<-r.Done()
 	}
 	for _, op := range ops {
 		if op.err != nil {
