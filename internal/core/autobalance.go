@@ -40,9 +40,9 @@ func (c AutoBalanceConfig) withDefaults() AutoBalanceConfig {
 // for informed decisions", and §6 (Observation 6) plans to use "the
 // performance introspection tools presented in Section 4 to guide
 // load rebalancing". The balancer periodically inventories the
-// service (monitored load per provider, bytes on disk), evaluates the
-// placement, and executes a Pufferscale plan when imbalance crosses
-// the configured thresholds.
+// service (handler ULTs per provider over the last interval, bytes on
+// disk), evaluates the placement, and executes a Pufferscale plan when
+// imbalance crosses the configured thresholds.
 type AutoBalancer struct {
 	svc *Service
 	cfg AutoBalanceConfig
@@ -52,6 +52,11 @@ type AutoBalancer struct {
 	triggers int
 	lastPlan *pufferscale.Plan
 	lastErr  error
+
+	// served holds each resource's ULT count at the previous
+	// evaluation: the balancer weighs the load of its own interval,
+	// not the history since each process started.
+	served map[placement]float64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -104,6 +109,9 @@ func (ab *AutoBalancer) loop() {
 	}
 }
 
+// placement identifies a resource on the node hosting it.
+type placement struct{ node, id string }
+
 // evaluate computes the current placement metrics with a dry-run plan
 // (all movement forbidden), then executes a real plan if thresholds
 // are crossed.
@@ -112,10 +120,15 @@ func (ab *AutoBalancer) evaluate() {
 	ab.evals++
 	ab.mu.Unlock()
 
+	inv, err := ab.svc.takeInventory()
+	if err != nil {
+		return
+	}
+	ab.loadSinceLastEvaluation(inv.resources)
 	// Dry run: an all-WTime plan never moves anything but reports the
 	// imbalance of the current placement.
-	current, err := ab.svc.planOnly(pufferscale.Objectives{WTime: 1})
-	if err != nil || current == nil {
+	current, err := pufferscale.Rebalance(inv.resources, inv.nodes, pufferscale.Objectives{WTime: 1})
+	if err != nil {
 		return
 	}
 	if current.DataImbalance() < ab.cfg.DataImbalanceThreshold &&
@@ -123,7 +136,7 @@ func (ab *AutoBalancer) evaluate() {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	plan, err := ab.svc.Rebalance(ctx, ab.cfg.Objectives)
+	plan, err := inv.rebalance(ctx, ab.cfg.Objectives)
 	cancel()
 	ab.mu.Lock()
 	ab.triggers++
@@ -131,33 +144,18 @@ func (ab *AutoBalancer) evaluate() {
 	ab.mu.Unlock()
 }
 
-// planOnly computes a Pufferscale plan without executing it.
-func (s *Service) planOnly(obj pufferscale.Objectives) (*pufferscale.Plan, error) {
-	s.mu.Lock()
-	procs := map[string]*Process{}
-	for n, p := range s.procs {
-		procs[n] = p
-	}
-	s.mu.Unlock()
-	if len(procs) == 0 {
-		return nil, ErrNotStarted
-	}
-	var resources []pufferscale.Resource
-	nodes := make([]string, 0, len(procs))
-	for node, p := range procs {
-		nodes = append(nodes, node)
-		stats := p.Server.Instance().Stats()
-		for _, info := range p.Server.ResourceInventory() {
-			if !info.Migratable {
-				continue
-			}
-			resources = append(resources, pufferscale.Resource{
-				ID:   info.Name,
-				Node: node,
-				Load: providerLoad(stats, info.ProviderID),
-				Size: float64(info.Bytes),
-			})
+// loadSinceLastEvaluation turns each resource's cumulative ULT count
+// into the count since the previous evaluation. A resource seen for
+// the first time on its node keeps its full count.
+func (ab *AutoBalancer) loadSinceLastEvaluation(resources []pufferscale.Resource) {
+	served := make(map[placement]float64, len(resources))
+	for i := range resources {
+		r := &resources[i]
+		k := placement{r.Node, r.ID}
+		served[k] = r.Load
+		if prev, ok := ab.served[k]; ok && prev <= r.Load {
+			r.Load -= prev
 		}
 	}
-	return pufferscale.Rebalance(resources, nodes, obj)
+	ab.served = served
 }

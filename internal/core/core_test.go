@@ -365,10 +365,44 @@ func TestServiceMonitoringAggregation(t *testing.T) {
 	if !ok {
 		t.Fatalf("no yokan_put stats on %s: %v", node0, stats[node0].Keys())
 	}
-	if providerLoad(stats[node0], nodeProviderID(node0)) < 5 {
-		t.Fatalf("provider load = %f", providerLoad(stats[node0], nodeProviderID(node0)))
+	if n := st.Target["received from "+svc.Admin().Addr()].ULT.Duration.Num; n != 5 {
+		t.Fatalf("yokan_put ULTs in the Listing-1 stats = %d, want 5", n)
 	}
-	_ = st
+	if load := providerLoad(p0.Server.Instance().Metrics().Snapshot(), nodeProviderID(node0)); load < 5 {
+		t.Fatalf("provider load = %f", load)
+	}
+}
+
+// TestProviderLoadWithoutMonitoring: placement reads load from the
+// always-on metrics, so a deployment that never enables the Listing-1
+// monitor still reports the requests its providers served.
+func TestProviderLoadWithoutMonitoring(t *testing.T) {
+	svc, _ := startService(t, kvSpec(t, RecoverNone), 2, 4)
+	ctx := sctx(t)
+	node0 := svc.Nodes()[0]
+	p0, _ := svc.Process(node0)
+	h := yokan.NewClient(svc.Admin()).Handle(p0.Addr(), nodeProviderID(node0))
+	for i := 0; i < 5; i++ {
+		if err := h.Put(ctx, []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(p0.Server.Instance().Stats().RPCs); n != 0 {
+		t.Fatalf("monitoring is off but the Listing-1 stats hold %d entries", n)
+	}
+	inv, err := svc.takeInventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var load float64
+	for _, r := range inv.resources {
+		if r.Node == node0 {
+			load += r.Load
+		}
+	}
+	if load < 5 {
+		t.Fatalf("inventory load of %s with monitoring off = %f, want >= 5", node0, load)
+	}
 }
 
 func TestVirtualKVReplication(t *testing.T) {

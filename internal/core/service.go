@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"mochi/internal/bedrock"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/metrics"
 	"mochi/internal/pufferscale"
 	"mochi/internal/remi"
 	"mochi/internal/ssg"
@@ -343,64 +345,92 @@ func (s *Service) EnableMonitoring() {
 	}
 }
 
-// providerLoad extracts a per-provider request count from a stats
-// snapshot (target-side ULT executions).
-func providerLoad(st *margo.StatsSnapshot, providerID uint16) float64 {
+// providerLoad counts the handler ULTs a provider has run, summed over
+// its RPCs from the always-on mochi_rpc_handler_runtime_seconds series
+// of a metrics snapshot, so placement sees load whether or not the
+// Listing-1 monitor is enabled.
+func providerLoad(fams []metrics.FamilySnapshot, providerID uint16) float64 {
+	label := strconv.Itoa(int(providerID))
 	var load float64
-	for _, rs := range st.RPCs {
-		if rs.ProviderID != providerID {
+	for _, f := range fams {
+		if f.Name != "mochi_rpc_handler_runtime_seconds" {
 			continue
 		}
-		for _, t := range rs.Target {
-			load += float64(t.ULT.Duration.Num)
+		for _, s := range f.Series {
+			if len(s.LabelValues) == 2 && s.LabelValues[1] == label && s.Hist != nil {
+				load += float64(s.Hist.Count)
+			}
 		}
 	}
 	return load
 }
 
-// Rebalance computes a Pufferscale plan over the service's migratable
-// resources — using monitored load and on-disk size — and executes it
-// with REMI-backed migrations (§6, Observation 6: "externalized
-// rebalancing decisions" carried out "by calling functions provided
-// via dependency injection").
-func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
+// inventory is the service's placement as the rebalancer sees it:
+// the members, their sorted node names, and every migratable resource
+// they host with its load and on-disk size.
+type inventory struct {
+	procs     map[string]*Process
+	nodes     []string
+	resources []pufferscale.Resource
+}
+
+// takeInventory reads the current placement. A resource's load is the
+// number of handler ULTs its provider has run since its process
+// started.
+func (s *Service) takeInventory() (*inventory, error) {
 	s.mu.Lock()
-	procs := map[string]*Process{}
+	inv := &inventory{procs: make(map[string]*Process, len(s.procs))}
 	for n, p := range s.procs {
-		procs[n] = p
+		inv.procs[n] = p
 	}
 	s.mu.Unlock()
-	if len(procs) == 0 {
+	if len(inv.procs) == 0 {
 		return nil, ErrNotStarted
 	}
-	var resources []pufferscale.Resource
-	nodes := make([]string, 0, len(procs))
-	for node, p := range procs {
-		nodes = append(nodes, node)
-		stats := p.Server.Instance().Stats()
+	for node, p := range inv.procs {
+		inv.nodes = append(inv.nodes, node)
+		fams := p.Server.Instance().Metrics().Snapshot()
 		for _, info := range p.Server.ResourceInventory() {
 			if !info.Migratable {
 				continue
 			}
-			resources = append(resources, pufferscale.Resource{
+			inv.resources = append(inv.resources, pufferscale.Resource{
 				ID:   info.Name,
 				Node: node,
-				Load: providerLoad(stats, info.ProviderID),
+				Load: providerLoad(fams, info.ProviderID),
 				Size: float64(info.Bytes),
 			})
 		}
 	}
-	sort.Strings(nodes)
-	plan, err := pufferscale.Rebalance(resources, nodes, obj)
+	sort.Strings(inv.nodes)
+	return inv, nil
+}
+
+// Rebalance computes a Pufferscale plan over the service's migratable
+// resources — using observed load and on-disk size — and executes it
+// with REMI-backed migrations (§6, Observation 6: "externalized
+// rebalancing decisions" carried out "by calling functions provided
+// via dependency injection").
+func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
+	inv, err := s.takeInventory()
+	if err != nil {
+		return nil, err
+	}
+	return inv.rebalance(ctx, obj)
+}
+
+// rebalance plans over the inventory and executes the plan's moves.
+func (inv *inventory) rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
+	plan, err := pufferscale.Rebalance(inv.resources, inv.nodes, obj)
 	if err != nil {
 		return nil, err
 	}
 	_, err = plan.Execute(ctx, func(ctx context.Context, m pufferscale.Move) error {
-		src, ok := procs[m.From]
+		src, ok := inv.procs[m.From]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchNode, m.From)
 		}
-		dst, ok := procs[m.To]
+		dst, ok := inv.procs[m.To]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchNode, m.To)
 		}

@@ -127,3 +127,46 @@ func benchForward(b *testing.B, cliCfg string) {
 		}
 	}
 }
+
+// TestMonitoringAllocsPinned: with the Listing-1 monitor enabled on
+// both ends, a forward allocates no more than the same forward with it
+// off. Monitoring only adds atomic updates to cells resolved through
+// struct-keyed maps; keys and peer strings are built at snapshot time.
+func TestMonitoringAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc pinning is meaningless under the race detector")
+	}
+	f := mercury.NewFabric()
+	srv := newInstance(t, f, "alloc-mon-srv", "")
+	cli := newInstance(t, f, "alloc-mon-cli", "")
+	if _, err := srv.Register("echo", func(_ context.Context, h *mercury.Handle) {
+		_ = h.Respond(h.Input())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 128)
+	ctx := context.Background()
+	dst := srv.Addr()
+	measure := func() float64 {
+		for i := 0; i < 50; i++ {
+			if _, err := cli.Forward(ctx, dst, "echo", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(500, func() {
+			if _, err := cli.Forward(ctx, dst, "echo", payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off := measure()
+	srv.EnableMonitoring()
+	cli.EnableMonitoring()
+	on := measure()
+	if on > off {
+		t.Fatalf("monitored forward allocates %.2f/op vs %.2f/op unmonitored; Listing-1 recording must add zero allocations", on, off)
+	}
+	if st, ok := cli.Stats().FindByName("echo"); !ok || st.Origin["sent to "+dst].Duration.Num == 0 {
+		t.Fatal("monitored forwards were not recorded")
+	}
+}

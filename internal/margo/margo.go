@@ -118,7 +118,6 @@ func NewWithClock(class *mercury.Class, rawConfig []byte, clk clock.Clock) (*Ins
 	// service has been running must still see full distributions.
 	reg := metrics.NewRegistry()
 	inst.metrics = newInstMetrics(reg)
-	inst.hooks.add(inst.metrics.hook())
 	rt.RegisterMetrics(reg)
 	class.SetMetrics(reg)
 
@@ -217,17 +216,26 @@ func (m *Instance) DeregisterProvider(name string, providerID uint16) {
 }
 
 // dispatchTask carries one inbound RPC from mercury dispatch to its
-// handler ULT. Tasks are pooled, and run is bound to exec once when the
-// task is first allocated, so submitting a ULT allocates neither a task
-// nor a fresh closure.
+// handler ULT. Tasks are pooled, and run and done are bound to exec and
+// finish once when the task is first allocated, so submitting a ULT
+// allocates neither a task nor a fresh closure.
 type dispatchTask struct {
 	m        *Instance
 	h        Handler
 	hd       *mercury.Handle
+	hooks    hookList
 	info     RPCInfo
 	tc       trace.SpanContext
 	queuedAt time.Time
+	started  time.Time
+	// The RPC is recorded once, when the handler responds or, if it
+	// has not by then, when it returns: a caller that sees the reply
+	// also sees the target-side record. refs counts the task's two
+	// users, exec and the respond hook; the last one pools the task.
+	recorded atomic.Bool
+	refs     atomic.Int32
 	run      argobots.ULT
+	done     func()
 }
 
 var dispatchTaskPool sync.Pool
@@ -238,17 +246,19 @@ func init() {
 	dispatchTaskPool.New = func() any {
 		t := new(dispatchTask)
 		t.run = t.exec
+		t.done = t.finish
 		return t
 	}
 }
 
 func (t *dispatchTask) exec() {
-	m, h, hd, info, tc, queuedAt := t.m, t.h, t.hd, t.info, t.tc, t.queuedAt
-	*t = dispatchTask{run: t.run}
-	dispatchTaskPool.Put(t)
+	m, h, hd, hooks, info, tc, queuedAt := t.m, t.h, t.hd, t.hooks, t.info, t.tc, t.queuedAt
 	started := m.clk.Now()
 	queueWait := started.Sub(queuedAt)
-	m.hooks.onHandlerStart(info, queueWait)
+	t.started = started
+	t.refs.Store(2)
+	hd.OnRespond(t.done)
+	hooks.handlerStart(info, queueWait)
 	// Server-side span lifecycle: a server span covering queue wait +
 	// handler runtime, with queue and handler phase children. The
 	// handler span's ID rides in the handler context so nested
@@ -273,7 +283,8 @@ func (t *dispatchTask) exec() {
 	ctx := withCurrentRPC(base, info)
 	h(ctx, hd)
 	ran := m.clk.Since(started)
-	m.hooks.onHandlerEnd(info, ran)
+	t.finish()
+	hooks.handlerEnd(info, ran)
 	if record && (tc.Sampled() || tr.Slow(queueWait+ran)) {
 		tail := !tc.Sampled()
 		tr.Commit(trace.Span{
@@ -311,11 +322,30 @@ func (t *dispatchTask) exec() {
 	}
 }
 
-// dispatch submits the handler as a ULT, recording queueing and
-// execution timings through the hook points (§4).
+// finish records the RPC unless that already happened, and drops the
+// caller's reference: exec's, or the respond hook's.
+func (t *dispatchTask) finish() {
+	if t.recorded.CompareAndSwap(false, true) {
+		t.m.metrics.handled(t.info, t.started.Sub(t.queuedAt), t.m.clk.Since(t.started))
+	}
+	if t.refs.Add(-1) == 0 {
+		t.reset()
+	}
+}
+
+// reset clears the task and returns it to the pool.
+func (t *dispatchTask) reset() {
+	t.m, t.h, t.hd, t.hooks = nil, nil, nil, nil
+	t.info, t.tc = RPCInfo{}, trace.SpanContext{}
+	t.recorded.Store(false)
+	dispatchTaskPool.Put(t)
+}
+
+// dispatch submits the handler as a ULT; the task records its queueing
+// and execution timings and exec runs the hook points (§4).
 func (m *Instance) dispatch(pool *argobots.Pool, h Handler, hd *mercury.Handle) {
 	t := dispatchTaskPool.Get().(*dispatchTask)
-	t.m, t.h, t.hd = m, h, hd
+	t.m, t.h, t.hd, t.hooks = m, h, hd, m.hooks.load()
 	t.info = RPCInfo{
 		Name:     hd.Name(),
 		ID:       hd.ID(),
@@ -330,10 +360,9 @@ func (m *Instance) dispatch(pool *argobots.Pool, h Handler, hd *mercury.Handle) 
 	// before the handle can be released.)
 	t.tc = hd.Trace()
 	t.queuedAt = m.clk.Now()
-	m.hooks.onHandlerQueued(t.info)
+	t.hooks.handlerQueued(t.info)
 	if err := pool.Submit(t.run); err != nil {
-		*t = dispatchTask{run: t.run}
-		dispatchTaskPool.Put(t)
+		t.reset()
 		// Pool was closed during reconfiguration: fail the RPC rather
 		// than dropping it silently.
 		_ = hd.RespondError(fmt.Errorf("margo: provider pool unavailable: %w", err))
@@ -382,7 +411,9 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 		}
 	}
 	start := m.clk.Now()
-	m.hooks.onForwardStart(info)
+	m.metrics.inflight.Inc()
+	hooks := m.hooks.load()
+	hooks.forwardStart(info)
 	var out []byte
 	var err error
 	if mgr := m.res.Load(); mgr == nil {
@@ -391,7 +422,8 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 		out, err = m.forwardResilient(ctx, mgr, dst, provider, input, info, tc, clientSpan)
 	}
 	d := m.clk.Since(start)
-	m.hooks.onForwardEnd(info, d, err)
+	series := m.metrics.forwarded(info, d, err)
+	hooks.forwardEnd(info, d, err)
 	if tc.Sampled() || tr.Slow(d) {
 		tr.Commit(trace.Span{
 			TraceID:  tc.TraceID,
@@ -413,7 +445,7 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 		sec := d.Seconds()
 		id := tc.TraceID.String()
 		ts := float64(start.UnixNano()) / 1e9
-		m.metrics.seriesFor(info).fwd.SetExemplar(sec, id, ts)
+		series.fwd.SetExemplar(sec, id, ts)
 		m.metrics.aggFwd.SetExemplar(sec, id, ts)
 	}
 	return out, err
@@ -473,8 +505,8 @@ func (m *Instance) GetConfig() ([]byte, error) {
 	return json.MarshalIndent(cfg, "", "  ")
 }
 
-// EnableMonitoring installs the default statistics monitor and starts
-// its periodic sampler.
+// EnableMonitoring starts recording the Listing-1 statistics and the
+// periodic sampler.
 func (m *Instance) EnableMonitoring() {
 	m.monitor.enable()
 }

@@ -1,10 +1,13 @@
 package margo
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mochi/internal/mercury"
 	"mochi/internal/metrics"
 	"mochi/internal/resilience"
 )
@@ -16,11 +19,13 @@ import (
 // per-RPC series client-side.
 const aggLabel = "_all"
 
-// instMetrics is the always-on metrics surface of one margo instance.
-// Unlike the Listing-1 stats monitor (enable/disable, mutex-guarded
-// maps), these are plain atomic histogram/counter updates and stay hot
-// regardless of EnableMonitoring — the low-overhead pull-based layer
-// that rebalancers and operators scrape continuously.
+// instMetrics is the accounting surface of one margo instance. Every
+// RPC is recorded once, by forwarded on the origin side and handled on
+// the target side, into the cached series of its (name, provider)
+// pair: the Prometheus histograms, the _all aggregate, the error
+// counter and, while monitoring is enabled, the Listing-1 cell of the
+// RPC's parent and peer. The Listing-1 document is a view over those
+// cells (listing1).
 type instMetrics struct {
 	reg *metrics.Registry
 
@@ -36,18 +41,22 @@ type instMetrics struct {
 	brkState   *metrics.GaugeVec   // mochi_rpc_breaker_state{peer}
 	brkRejects *metrics.CounterVec // mochi_rpc_breaker_rejections_total{peer}
 
-	// The hook below runs on every RPC, so it must not pay
-	// HistogramVec.With — a variadic slice plus a joined label-key
-	// string per call — each time. The _all aggregate series are
-	// resolved once (lazily, aggOnce) into direct histogram pointers,
-	// and per-(name,provider) series are cached under a struct key.
-	aggOnce  sync.Once
+	// The _all aggregate series, resolved at construction so every
+	// family has concrete (zero-valued) series from the first scrape.
 	aggFwd   *metrics.Histogram
 	aggQueue *metrics.Histogram
 	aggRun   *metrics.Histogram
 
+	// Resolving a vec series costs a variadic slice plus a joined
+	// label-key string, so each (name, provider) pair is resolved once
+	// and cached under a struct key.
 	seriesMu sync.RWMutex
 	series   map[seriesKey]*rpcSeries
+
+	// monitoring gates the Listing-1 cells (EnableMonitoring).
+	monitoring atomic.Bool
+	cellsMu    sync.RWMutex
+	cells      map[cellKey]*cell
 }
 
 // seriesKey identifies one (rpc, provider) label pair without string
@@ -57,11 +66,36 @@ type seriesKey struct {
 	provider uint16
 }
 
-// rpcSeries holds the resolved histogram series for one label pair.
+// rpcSeries holds everything recorded for one (rpc, provider) pair.
 type rpcSeries struct {
+	name     string
+	id       mercury.RPCID
+	provider uint16
+
 	fwd   *metrics.Histogram
 	queue *metrics.Histogram
 	run   *metrics.Histogram
+	errs  *metrics.Counter
+}
+
+// cellKey identifies one Listing-1 cell of a series: the origin side
+// per (parent, peer), the target side per peer under the sentinel
+// parent, since the wire does not carry the remote parent.
+type cellKey struct {
+	series         *rpcSeries
+	target         bool
+	parent         mercury.RPCID
+	parentProvider uint16
+	peer           string
+}
+
+// cell is one Listing-1 "sent to"/"received from" entry. queued is
+// nil on the origin side.
+type cell struct {
+	queued *metrics.Histogram
+	dur    *metrics.Histogram
+	bytes  *metrics.Histogram
+	errs   atomic.Int64
 }
 
 func newInstMetrics(reg *metrics.Registry) *instMetrics {
@@ -87,25 +121,17 @@ func newInstMetrics(reg *metrics.Registry) *instMetrics {
 		inflight: reg.Gauge("mochi_rpc_inflight",
 			"RPCs forwarded by this process still awaiting a response.").With(),
 		series: map[seriesKey]*rpcSeries{},
+		cells:  map[cellKey]*cell{},
 	}
-	// Pre-create the aggregate series so every family has concrete
-	// (zero-valued) histogram series from the first scrape.
-	im.ensureAgg()
+	im.aggFwd = im.fwdLatency.With(aggLabel, aggLabel)
+	im.aggQueue = im.queueDelay.With(aggLabel, aggLabel)
+	im.aggRun = im.handlerRun.With(aggLabel, aggLabel)
 	return im
 }
 
-// ensureAgg resolves the _all aggregate series exactly once.
-func (im *instMetrics) ensureAgg() {
-	im.aggOnce.Do(func() {
-		im.aggFwd = im.fwdLatency.With(aggLabel, aggLabel)
-		im.aggQueue = im.queueDelay.With(aggLabel, aggLabel)
-		im.aggRun = im.handlerRun.With(aggLabel, aggLabel)
-	})
-}
-
-// seriesFor returns the cached histogram series for (name, provider),
-// resolving and caching them on first sight of the pair. The fast path
-// is a read-locked struct-keyed map hit: no allocation, no label join.
+// seriesFor returns the cached series for (name, provider), resolving
+// and caching it on first sight of the pair. The fast path is a
+// read-locked struct-keyed map hit: no allocation, no label join.
 func (im *instMetrics) seriesFor(info RPCInfo) *rpcSeries {
 	k := seriesKey{info.Name, info.Provider}
 	im.seriesMu.RLock()
@@ -118,14 +144,42 @@ func (im *instMetrics) seriesFor(info RPCInfo) *rpcSeries {
 	if s = im.series[k]; s == nil {
 		pl := providerLabel(info.Provider)
 		s = &rpcSeries{
-			fwd:   im.fwdLatency.With(info.Name, pl),
-			queue: im.queueDelay.With(info.Name, pl),
-			run:   im.handlerRun.With(info.Name, pl),
+			name:     info.Name,
+			id:       info.ID,
+			provider: info.Provider,
+			fwd:      im.fwdLatency.With(info.Name, pl),
+			queue:    im.queueDelay.With(info.Name, pl),
+			run:      im.handlerRun.With(info.Name, pl),
+			errs:     im.fwdErrors.With(info.Name),
 		}
 		im.series[k] = s
 	}
 	im.seriesMu.Unlock()
 	return s
+}
+
+// cellFor returns the Listing-1 cell for k, creating it on first
+// sight.
+func (im *instMetrics) cellFor(k cellKey) *cell {
+	im.cellsMu.RLock()
+	c := im.cells[k]
+	im.cellsMu.RUnlock()
+	if c != nil {
+		return c
+	}
+	im.cellsMu.Lock()
+	defer im.cellsMu.Unlock()
+	if c = im.cells[k]; c == nil {
+		c = &cell{
+			dur:   metrics.NewHistogram(metrics.LatencyBuckets),
+			bytes: metrics.NewHistogram(metrics.SizeBuckets),
+		}
+		if k.target {
+			c.queued = metrics.NewHistogram(metrics.LatencyBuckets)
+		}
+		im.cells[k] = c
+	}
+	return c
 }
 
 func providerLabel(p uint16) string {
@@ -135,32 +189,77 @@ func providerLabel(p uint16) string {
 	return strconv.Itoa(int(p))
 }
 
-// hook returns the monitoring hook that feeds the histograms; it is
-// installed permanently at instance creation.
-func (im *instMetrics) hook() *Hook {
-	im.ensureAgg()
-	return &Hook{
-		OnForwardStart: func(RPCInfo) { im.inflight.Inc() },
-		OnForwardEnd: func(info RPCInfo, d time.Duration, err error) {
-			im.inflight.Dec()
-			s := d.Seconds()
-			im.seriesFor(info).fwd.Observe(s)
-			im.aggFwd.Observe(s)
-			if err != nil {
-				im.fwdErrors.With(info.Name).Inc()
-			}
-		},
-		OnHandlerStart: func(info RPCInfo, queued time.Duration) {
-			s := queued.Seconds()
-			im.seriesFor(info).queue.Observe(s)
-			im.aggQueue.Observe(s)
-		},
-		OnHandlerEnd: func(info RPCInfo, d time.Duration) {
-			s := d.Seconds()
-			im.seriesFor(info).run.Observe(s)
-			im.aggRun.Observe(s)
-		},
+// forwarded records one completed forward on the origin side and
+// returns its series, on which the caller pins exemplars.
+func (im *instMetrics) forwarded(info RPCInfo, d time.Duration, err error) *rpcSeries {
+	im.inflight.Dec()
+	s := im.seriesFor(info)
+	sec := d.Seconds()
+	s.fwd.Observe(sec)
+	im.aggFwd.Observe(sec)
+	if err != nil {
+		s.errs.Inc()
 	}
+	if im.monitoring.Load() {
+		c := im.cellFor(cellKey{series: s, parent: info.ParentID, parentProvider: info.ParentProvider, peer: info.Peer})
+		c.dur.Observe(sec)
+		c.bytes.Observe(float64(info.Bytes))
+		if err != nil {
+			c.errs.Add(1)
+		}
+	}
+	return s
+}
+
+// handled records one RPC on the target side, when its handler
+// responds (or returns without responding).
+func (im *instMetrics) handled(info RPCInfo, queued, ran time.Duration) {
+	s := im.seriesFor(info)
+	q, r := queued.Seconds(), ran.Seconds()
+	s.queue.Observe(q)
+	im.aggQueue.Observe(q)
+	s.run.Observe(r)
+	im.aggRun.Observe(r)
+	if im.monitoring.Load() {
+		c := im.cellFor(cellKey{series: s, target: true, parent: noParent32, parentProvider: noParent16, peer: info.Peer})
+		c.queued.Observe(q)
+		c.dur.Observe(r)
+		c.bytes.Observe(float64(info.Bytes))
+	}
+}
+
+// listing1 builds the Listing-1 "rpcs" object from the recorded cells,
+// keyed "parent_rpc_id:parent_provider_id:rpc_id:provider_id".
+func (im *instMetrics) listing1() map[string]*RPCStats {
+	out := map[string]*RPCStats{}
+	im.cellsMu.RLock()
+	defer im.cellsMu.RUnlock()
+	for k, c := range im.cells {
+		s := k.series
+		key := fmt.Sprintf("%d:%d:%d:%d", uint32(k.parent), k.parentProvider, uint32(s.id), s.provider)
+		st := out[key]
+		if st == nil {
+			st = &RPCStats{
+				RPCID:            uint32(s.id),
+				ProviderID:       s.provider,
+				ParentRPCID:      uint32(k.parent),
+				ParentProviderID: k.parentProvider,
+				Name:             s.name,
+				Origin:           map[string]*OriginStats{},
+				Target:           map[string]*TargetStats{},
+			}
+			out[key] = st
+		}
+		if k.target {
+			ts := &TargetStats{Bytes: sizeStats(c.bytes)}
+			ts.ULT.Queued = durationStats(c.queued)
+			ts.ULT.Duration = durationStats(c.dur)
+			st.Target["received from "+k.peer] = ts
+		} else {
+			st.Origin["sent to "+k.peer] = &OriginStats{Duration: durationStats(c.dur), Bytes: sizeStats(c.bytes), Errors: c.errs.Load()}
+		}
+	}
+	return out
 }
 
 // retried counts one retry attempt for the named RPC.

@@ -2,12 +2,13 @@ package margo
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mochi/internal/mercury"
+	"mochi/internal/metrics"
 )
 
 // The paper's Listing 1 uses 65535 as the "no parent" sentinel for
@@ -44,79 +45,83 @@ type Hook struct {
 	OnHandlerEnd func(RPCInfo, time.Duration)
 }
 
+// hookSet holds the hooks added through AddHook as a copy-on-write
+// slice: the RPC paths read it with one atomic load and no lock.
 type hookSet struct {
-	mu    sync.RWMutex
-	hooks []*Hook
+	mu    sync.Mutex // serializes writers
+	hooks atomic.Pointer[hookList]
+}
+
+// hookList is an immutable snapshot of the registered hooks.
+type hookList []*Hook
+
+func (s *hookSet) load() hookList {
+	if l := s.hooks.Load(); l != nil {
+		return *l
+	}
+	return nil
 }
 
 func (s *hookSet) add(h *Hook) func() {
 	s.mu.Lock()
-	s.hooks = append(s.hooks, h)
+	next := append(append(hookList(nil), s.load()...), h)
+	s.hooks.Store(&next)
 	s.mu.Unlock()
 	return func() {
 		s.mu.Lock()
-		for i, x := range s.hooks {
-			if x == h {
-				s.hooks = append(s.hooks[:i], s.hooks[i+1:]...)
-				break
+		defer s.mu.Unlock()
+		var next hookList
+		for _, x := range s.load() {
+			if x != h {
+				next = append(next, x)
 			}
 		}
-		s.mu.Unlock()
+		s.hooks.Store(&next)
 	}
 }
 
-func (s *hookSet) onForwardStart(i RPCInfo) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, h := range s.hooks {
+func (l hookList) forwardStart(i RPCInfo) {
+	for _, h := range l {
 		if h.OnForwardStart != nil {
 			h.OnForwardStart(i)
 		}
 	}
 }
 
-func (s *hookSet) onForwardEnd(i RPCInfo, d time.Duration, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, h := range s.hooks {
+func (l hookList) forwardEnd(i RPCInfo, d time.Duration, err error) {
+	for _, h := range l {
 		if h.OnForwardEnd != nil {
 			h.OnForwardEnd(i, d, err)
 		}
 	}
 }
 
-func (s *hookSet) onHandlerQueued(i RPCInfo) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, h := range s.hooks {
+func (l hookList) handlerQueued(i RPCInfo) {
+	for _, h := range l {
 		if h.OnHandlerQueued != nil {
 			h.OnHandlerQueued(i)
 		}
 	}
 }
 
-func (s *hookSet) onHandlerStart(i RPCInfo, d time.Duration) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, h := range s.hooks {
+func (l hookList) handlerStart(i RPCInfo, d time.Duration) {
+	for _, h := range l {
 		if h.OnHandlerStart != nil {
 			h.OnHandlerStart(i, d)
 		}
 	}
 }
 
-func (s *hookSet) onHandlerEnd(i RPCInfo, d time.Duration) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, h := range s.hooks {
+func (l hookList) handlerEnd(i RPCInfo, d time.Duration) {
+	for _, h := range l {
 		if h.OnHandlerEnd != nil {
 			h.OnHandlerEnd(i, d)
 		}
 	}
 }
 
-// DurationStats accumulates num/avg/min/max/sum for a series of
-// durations (seconds, like Listing 1).
+// DurationStats summarizes a series of durations as num/avg/min/max/sum
+// (seconds, like Listing 1).
 type DurationStats struct {
 	Num int64   `json:"num"`
 	Avg float64 `json:"avg"`
@@ -125,20 +130,13 @@ type DurationStats struct {
 	Sum float64 `json:"sum"`
 }
 
-func (s *DurationStats) add(d time.Duration) {
-	v := d.Seconds()
-	s.Num++
-	s.Sum += v
-	if s.Num == 1 || v < s.Min {
-		s.Min = v
-	}
-	if v > s.Max {
-		s.Max = v
-	}
-	s.Avg = s.Sum / float64(s.Num)
+// durationStats summarizes a Listing-1 cell's duration histogram.
+func durationStats(h *metrics.Histogram) DurationStats {
+	hs := h.Snapshot()
+	return DurationStats{Num: int64(hs.Count), Avg: hs.Mean(), Min: hs.Min, Max: hs.Max, Sum: hs.Sum}
 }
 
-// SizeStats accumulates message-size statistics.
+// SizeStats summarizes message sizes in bytes.
 type SizeStats struct {
 	Num int64 `json:"num"`
 	Avg int64 `json:"avg"`
@@ -147,17 +145,10 @@ type SizeStats struct {
 	Sum int64 `json:"sum"`
 }
 
-func (s *SizeStats) add(n int) {
-	v := int64(n)
-	s.Num++
-	s.Sum += v
-	if s.Num == 1 || v < s.Min {
-		s.Min = v
-	}
-	if v > s.Max {
-		s.Max = v
-	}
-	s.Avg = s.Sum / s.Num
+// sizeStats summarizes a Listing-1 cell's size histogram.
+func sizeStats(h *metrics.Histogram) SizeStats {
+	hs := h.Snapshot()
+	return SizeStats{Num: int64(hs.Count), Avg: int64(hs.Mean()), Min: int64(hs.Min), Max: int64(hs.Max), Sum: int64(hs.Sum)}
 }
 
 // OriginStats is the origin-side view of one (rpc, peer) pair.
@@ -197,15 +188,9 @@ type ProgressSample struct {
 	PoolSizes   map[string]int `json:"pool_sizes"`
 }
 
-// BulkStats aggregates RDMA-like bulk transfers with one peer (§4:
-// Margo "has knowledge of ... all the RDMA operations being carried
-// out").
-type BulkStats struct {
-	Pulls    int64 `json:"pulls"`
-	Pushes   int64 `json:"pushes"`
-	BytesIn  int64 `json:"bytes_pulled"`
-	BytesOut int64 `json:"bytes_pushed"`
-}
+// BulkStats aggregates RDMA-like bulk transfers with one peer; the
+// mercury class counts them.
+type BulkStats = mercury.BulkStats
 
 // StatsSnapshot is the JSON-ready monitor state (Listing 1 schema:
 // a top-level "rpcs" object keyed by
@@ -222,156 +207,51 @@ func (s *StatsSnapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Monitor is the default monitoring implementation (§4): it records
-// per-RPC statistics on both origin and target sides, samples runtime
-// gauges periodically, and serializes to Listing 1's JSON schema.
+// Monitor is the default monitoring implementation (§4). The per-RPC
+// statistics are the Listing-1 cells that margo's single record step
+// fills while monitoring is enabled; the monitor adds the periodic
+// sampler, the bulk-transfer window, and the Listing-1 JSON view.
 type Monitor struct {
 	inst   *Instance
 	period time.Duration
 
-	mu       sync.Mutex
-	enabled  bool
-	rpcs     map[string]*RPCStats
-	bulk     map[string]*BulkStats
-	samples  []ProgressSample
-	inFlight int64
+	mu      sync.Mutex
+	enabled bool
+	samples []ProgressSample
+	// The class counts bulk transfers per peer all the time; the
+	// Listing-1 "bulk" section is what it counted while monitoring was
+	// enabled: bulkKept from earlier enabled windows, plus the growth
+	// since bulkBase while enabled.
+	bulkBase map[string]BulkStats
+	bulkKept map[string]BulkStats
 
 	stop   chan struct{}
 	stopWG sync.WaitGroup
-
-	hookRemove func()
 }
 
 func newMonitor(inst *Instance, period time.Duration) *Monitor {
 	return &Monitor{
-		inst:   inst,
-		period: period,
-		rpcs:   map[string]*RPCStats{},
-		bulk:   map[string]*BulkStats{},
+		inst:     inst,
+		period:   period,
+		bulkKept: map[string]BulkStats{},
 	}
-}
-
-// BulkTransferred implements mercury.Monitor: the margo monitor
-// installs itself on the class while enabled so bulk operations are
-// captured alongside RPC statistics.
-func (mo *Monitor) BulkTransferred(op mercury.BulkOp, peer string, bytes int) {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	bs, ok := mo.bulk[peer]
-	if !ok {
-		bs = &BulkStats{}
-		mo.bulk[peer] = bs
-	}
-	if op == mercury.BulkPull {
-		bs.Pulls++
-		bs.BytesIn += int64(bytes)
-	} else {
-		bs.Pushes++
-		bs.BytesOut += int64(bytes)
-	}
-}
-
-// The remaining mercury.Monitor methods are no-ops: RPC events come
-// through the richer margo hook points instead.
-func (mo *Monitor) SentRequest(mercury.RPCID, uint16, string, int)      {}
-func (mo *Monitor) ReceivedRequest(mercury.RPCID, uint16, string, int)  {}
-func (mo *Monitor) SentResponse(mercury.RPCID, uint16, string, int)     {}
-func (mo *Monitor) ReceivedResponse(mercury.RPCID, uint16, string, int) {}
-
-var _ mercury.Monitor = (*Monitor)(nil)
-
-func statKey(info RPCInfo) string {
-	return fmt.Sprintf("%d:%d:%d:%d", uint32(info.ParentID), info.ParentProvider, uint32(info.ID), info.Provider)
-}
-
-func (mo *Monitor) get(info RPCInfo) *RPCStats {
-	key := statKey(info)
-	st, ok := mo.rpcs[key]
-	if !ok {
-		st = &RPCStats{
-			RPCID:            uint32(info.ID),
-			ProviderID:       info.Provider,
-			ParentRPCID:      uint32(info.ParentID),
-			ParentProviderID: info.ParentProvider,
-			Name:             info.Name,
-			Origin:           map[string]*OriginStats{},
-			Target:           map[string]*TargetStats{},
-		}
-		mo.rpcs[key] = st
-	}
-	return st
 }
 
 func (mo *Monitor) enable() {
 	mo.mu.Lock()
+	defer mo.mu.Unlock()
 	if mo.enabled {
-		mo.mu.Unlock()
 		return
 	}
 	mo.enabled = true
 	mo.stop = make(chan struct{})
-	mo.mu.Unlock()
-
-	hook := &Hook{
-		OnForwardStart: func(info RPCInfo) {
-			mo.mu.Lock()
-			mo.inFlight++
-			mo.mu.Unlock()
-		},
-		OnForwardEnd: func(info RPCInfo, d time.Duration, err error) {
-			mo.mu.Lock()
-			mo.inFlight--
-			st := mo.get(info)
-			key := "sent to " + info.Peer
-			os, ok := st.Origin[key]
-			if !ok {
-				os = &OriginStats{}
-				st.Origin[key] = os
-			}
-			os.Duration.add(d)
-			os.Bytes.add(info.Bytes)
-			if err != nil {
-				os.Errors++
-			}
-			mo.mu.Unlock()
-		},
-		OnHandlerStart: func(info RPCInfo, queued time.Duration) {
-			mo.mu.Lock()
-			ts := mo.target(info)
-			ts.ULT.Queued.add(queued)
-			ts.Bytes.add(info.Bytes)
-			mo.mu.Unlock()
-		},
-		OnHandlerEnd: func(info RPCInfo, d time.Duration) {
-			mo.mu.Lock()
-			mo.target(info).ULT.Duration.add(d)
-			mo.mu.Unlock()
-		},
-	}
-	mo.hookRemove = mo.inst.hooks.add(hook)
-	mo.inst.class.SetMonitor(mo) // capture bulk transfers too
-
+	mo.bulkBase = mo.inst.class.BulkPeers()
+	mo.inst.metrics.monitoring.Store(true)
 	mo.stopWG.Add(1)
-	go mo.sampleLoop()
+	go mo.sampleLoop(mo.stop)
 }
 
-func (mo *Monitor) target(info RPCInfo) *TargetStats {
-	// Target-side statistics never know the remote parent; use the
-	// sentinel key like Listing 1's target process does.
-	tInfo := info
-	tInfo.ParentID = mercury.RPCID(noParent32)
-	tInfo.ParentProvider = noParent16
-	st := mo.get(tInfo)
-	key := "received from " + info.Peer
-	ts, ok := st.Target[key]
-	if !ok {
-		ts = &TargetStats{}
-		st.Target[key] = ts
-	}
-	return ts
-}
-
-func (mo *Monitor) sampleLoop() {
+func (mo *Monitor) sampleLoop(stop <-chan struct{}) {
 	defer mo.stopWG.Done()
 	tick := mo.inst.clk.NewTicker(mo.period)
 	defer tick.Stop()
@@ -379,7 +259,7 @@ func (mo *Monitor) sampleLoop() {
 		select {
 		case <-tick.C():
 			mo.sampleOnce()
-		case <-mo.stop:
+		case <-stop:
 			return
 		}
 	}
@@ -396,7 +276,7 @@ func (mo *Monitor) sampleOnce() {
 	mo.mu.Lock()
 	mo.samples = append(mo.samples, ProgressSample{
 		TimestampMS: mo.inst.clk.Now().UnixMilli(),
-		InFlight:    mo.inFlight,
+		InFlight:    int64(mo.inst.metrics.inflight.Value()),
 		PoolSizes:   sizes,
 	})
 	// Bound memory: keep the most recent 10k samples.
@@ -413,47 +293,50 @@ func (mo *Monitor) disable() {
 		return
 	}
 	mo.enabled = false
+	mo.inst.metrics.monitoring.Store(false)
+	addBulkGrowth(mo.bulkKept, mo.inst.class.BulkPeers(), mo.bulkBase)
 	stop := mo.stop
 	mo.mu.Unlock()
-	if mo.hookRemove != nil {
-		mo.hookRemove()
-		mo.hookRemove = nil
-	}
-	mo.inst.class.SetMonitor(nil)
 	close(stop)
 	mo.stopWG.Wait()
 }
 
-// snapshot deep-copies the current statistics.
+// addBulkGrowth adds to dst, per peer, what the totals in now grew by
+// since base.
+func addBulkGrowth(dst, now, base map[string]BulkStats) {
+	for peer, n := range now {
+		b, d := base[peer], dst[peer]
+		if n == b {
+			continue
+		}
+		d.Pulls += n.Pulls - b.Pulls
+		d.Pushes += n.Pushes - b.Pushes
+		d.BytesIn += n.BytesIn - b.BytesIn
+		d.BytesOut += n.BytesOut - b.BytesOut
+		dst[peer] = d
+	}
+}
+
+// snapshot renders the Listing-1 document from the recorded cells.
 func (mo *Monitor) snapshot() *StatsSnapshot {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
 	out := &StatsSnapshot{
 		Address: mo.inst.Addr(),
-		RPCs:    make(map[string]*RPCStats, len(mo.rpcs)),
+		RPCs:    mo.inst.metrics.listing1(),
 	}
-	for k, v := range mo.rpcs {
-		cp := *v
-		cp.Origin = make(map[string]*OriginStats, len(v.Origin))
-		for ok2, ov := range v.Origin {
-			o := *ov
-			cp.Origin[ok2] = &o
-		}
-		cp.Target = make(map[string]*TargetStats, len(v.Target))
-		for tk, tv := range v.Target {
-			tcp := *tv
-			cp.Target[tk] = &tcp
-		}
-		out.RPCs[k] = &cp
-	}
-	if len(mo.bulk) > 0 {
-		out.Bulk = make(map[string]*BulkStats, len(mo.bulk))
-		for k, v := range mo.bulk {
-			cp := *v
-			out.Bulk[k] = &cp
-		}
+	bulk := map[string]BulkStats{}
+	mo.mu.Lock()
+	addBulkGrowth(bulk, mo.bulkKept, nil)
+	if mo.enabled {
+		addBulkGrowth(bulk, mo.inst.class.BulkPeers(), mo.bulkBase)
 	}
 	out.Samples = append([]ProgressSample(nil), mo.samples...)
+	mo.mu.Unlock()
+	if len(bulk) > 0 {
+		out.Bulk = make(map[string]*BulkStats, len(bulk))
+		for peer, n := range bulk {
+			out.Bulk[peer] = &n
+		}
+	}
 	return out
 }
 

@@ -149,10 +149,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 		} else {
 			copy(remote.mem[remoteOff:remoteOff+size], local.mem[localOff:localOff+size])
 		}
-		if m := c.mon(); m != nil {
-			m.BulkTransferred(op, desc.Addr, int(size))
-		}
-		c.recordBulk(op, int(size))
+		c.recordBulk(op, desc.Addr, int(size))
 		return nil
 	}
 
@@ -203,10 +200,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 		if copyErr != nil {
 			return copyErr
 		}
-		if m := c.mon(); m != nil {
-			m.BulkTransferred(op, desc.Addr, int(size))
-		}
-		c.recordBulk(op, int(size))
+		c.recordBulk(op, desc.Addr, int(size))
 		return nil
 	case <-ctx.Done():
 		c.pending.remove(seq)

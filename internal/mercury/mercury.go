@@ -292,6 +292,10 @@ type Class struct {
 	bulkBytes atomic.Pointer[bulkMetrics]
 	tracer    atomic.Pointer[trace.Tracer]
 
+	// bulkPeers holds the per-peer totals behind BulkPeers.
+	bulkPeersMu sync.Mutex
+	bulkPeers   map[string]BulkStats
+
 	authMu      sync.RWMutex
 	auth        authState
 	authEnabled atomic.Bool
@@ -350,11 +354,12 @@ func (c *Class) mon() Monitor {
 
 func newClass(tr transport) *Class {
 	c := &Class{
-		tr:       tr,
-		handlers: map[rpcKey]*rpcEntry{},
-		bulks:    map[uint64]*Bulk{},
-		workCh:   make(chan *message), // unbuffered: hand off only to an idle worker
-		workDone: make(chan struct{}),
+		tr:        tr,
+		handlers:  map[rpcKey]*rpcEntry{},
+		bulks:     map[uint64]*Bulk{},
+		bulkPeers: map[string]BulkStats{},
+		workCh:    make(chan *message), // unbuffered: hand off only to an idle worker
+		workDone:  make(chan struct{}),
 	}
 	c.pending.init()
 	return c
@@ -645,6 +650,7 @@ type Handle struct {
 	traceSpan   uint64
 	traceFlag   uint8
 	responded   atomic.Bool
+	onRespond   func()
 }
 
 var handlePool = sync.Pool{New: func() any { return new(Handle) }}
@@ -674,6 +680,7 @@ func (h *Handle) release() {
 	h.traceID = 0
 	h.traceSpan = 0
 	h.traceFlag = 0
+	h.onRespond = nil
 	handlePool.Put(h)
 }
 
@@ -707,6 +714,11 @@ func (h *Handle) Trace() trace.SpanContext {
 	}
 }
 
+// OnRespond registers f to run once when the handler responds, just
+// before the response is sent: what f records about the RPC is visible
+// by the time the caller sees the reply. f must not block.
+func (h *Handle) OnRespond(f func()) { h.onRespond = f }
+
 // Respond sends the RPC's output back to the caller. output is
 // borrowed for the duration of the call (transports copy or serialize
 // it before returning). Respond releases the handle: neither it nor
@@ -727,6 +739,9 @@ func (h *Handle) respond(status uint8, errmsg string, output []byte) error {
 	}
 	if m := h.class.mon(); m != nil {
 		m.SentResponse(h.id, h.provider, h.src, len(output))
+	}
+	if h.onRespond != nil {
+		h.onRespond()
 	}
 	resp := getMessage()
 	resp.kind = msgResponse

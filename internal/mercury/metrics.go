@@ -1,6 +1,10 @@
 package mercury
 
-import "mochi/internal/metrics"
+import (
+	"maps"
+
+	"mochi/internal/metrics"
+)
 
 // transportMetrics is implemented by transports that export their own
 // series (the TCP transport: connection gauges, dial latency, writev
@@ -40,7 +44,42 @@ type bulkMetrics struct {
 	push *metrics.Histogram
 }
 
-func (c *Class) recordBulk(op BulkOp, bytes int) {
+// BulkStats totals the completed bulk transfers a class issued towards
+// one peer (§4: Margo "has knowledge of ... all the RDMA operations
+// being carried out").
+type BulkStats struct {
+	Pulls    int64 `json:"pulls"`
+	Pushes   int64 `json:"pushes"`
+	BytesIn  int64 `json:"bytes_pulled"`
+	BytesOut int64 `json:"bytes_pushed"`
+}
+
+// BulkPeers returns, per peer address, the bulk transfers this class
+// has completed since it was created. The totals only grow, so the
+// difference of two calls is exactly what completed in between.
+func (c *Class) BulkPeers() map[string]BulkStats {
+	c.bulkPeersMu.Lock()
+	defer c.bulkPeersMu.Unlock()
+	return maps.Clone(c.bulkPeers)
+}
+
+// recordBulk accounts one completed bulk transfer: the user monitor's
+// BulkTransferred, the per-peer totals, and the size histogram.
+func (c *Class) recordBulk(op BulkOp, peer string, bytes int) {
+	if m := c.mon(); m != nil {
+		m.BulkTransferred(op, peer, bytes)
+	}
+	c.bulkPeersMu.Lock()
+	n := c.bulkPeers[peer]
+	if op == BulkPull {
+		n.Pulls++
+		n.BytesIn += int64(bytes)
+	} else {
+		n.Pushes++
+		n.BytesOut += int64(bytes)
+	}
+	c.bulkPeers[peer] = n
+	c.bulkPeersMu.Unlock()
 	h := c.bulkBytes.Load()
 	if h == nil {
 		return

@@ -18,6 +18,7 @@ type Histogram struct {
 	counts []atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits
+	min    atomic.Uint64 // float64 bits, +Inf until the first Observe
 	max    atomic.Uint64 // float64 bits
 	// exemplars is allocated lazily by SetExemplar (exemplar.go); nil
 	// for the overwhelming majority of histograms, costing Observe
@@ -44,17 +45,22 @@ func NewHistogram(buckets []float64) *Histogram {
 		upper:  append([]float64(nil), buckets...),
 		counts: make([]atomic.Uint64, len(buckets)+1),
 	}
+	h.min.Store(math.Float64bits(math.Inf(1)))
 	return h
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	// min and max are published before the bucket count, and Snapshot
+	// reads the buckets first: a snapshot that counts v sees it in
+	// min and max too.
+	atomicMinFloat(&h.min, v)
+	atomicMaxFloat(&h.max, v)
 	// Binary search for the first bucket whose upper bound holds v.
 	i := sort.SearchFloat64s(h.upper, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	atomicAddFloat(&h.sum, v)
-	atomicMaxFloat(&h.max, v)
 }
 
 // ObserveSeconds records a duration given in seconds; convenience for
@@ -75,8 +81,6 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 	s := &HistogramSnapshot{
 		Upper:  h.upper, // immutable after construction
 		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.Sum(),
-		Max:    math.Float64frombits(h.max.Load()),
 	}
 	var total uint64
 	for i := range h.counts {
@@ -87,6 +91,11 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 	// Derive the count from the buckets so count == sum(buckets) holds
 	// within the snapshot even under concurrent recording.
 	s.Count = total
+	s.Sum = h.Sum()
+	s.Max = math.Float64frombits(h.max.Load())
+	if total > 0 {
+		s.Min = math.Float64frombits(h.min.Load())
+	}
 	s.Exemplars = h.exemplarSnapshot()
 	return s
 }
@@ -99,7 +108,9 @@ type HistogramSnapshot struct {
 	Counts []uint64  `json:"counts"` // len(Upper)+1; last is +Inf
 	Count  uint64    `json:"count"`
 	Sum    float64   `json:"sum"`
-	Max    float64   `json:"max"`
+	// Min is the smallest observed value; 0 when Count is 0.
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
 	// Exemplars, when present, link buckets to trace IDs (at most one
 	// per bucket, bucket-ordered). Merges keep the newest per bucket.
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
@@ -123,6 +134,9 @@ func (s *HistogramSnapshot) Merge(other *HistogramSnapshot) error {
 		if s.Upper[i] != other.Upper[i] {
 			return fmt.Errorf("metrics: merge of mismatched histograms (bound %d: %g vs %g)", i, s.Upper[i], other.Upper[i])
 		}
+	}
+	if other.Count > 0 && (s.Count == 0 || other.Min < s.Min) {
+		s.Min = other.Min
 	}
 	for i := range s.Counts {
 		s.Counts[i] += other.Counts[i]
@@ -223,6 +237,18 @@ func atomicAddFloat(bits *atomic.Uint64, v float64) {
 		old := bits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
 		if bits.CompareAndSwap(old, new) {
+			return
+		}
+	}
+}
+
+func atomicMinFloat(bits *atomic.Uint64, v float64) {
+	for {
+		old := bits.Load()
+		if math.Float64frombits(old) <= v {
+			return
+		}
+		if bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -167,6 +168,86 @@ func TestHistogramSnapshotMerge(t *testing.T) {
 	bad := NewHistogram([]float64{1, 3}).Snapshot()
 	if err := s.Merge(bad); err == nil {
 		t.Error("merge of mismatched layouts should fail")
+	}
+}
+
+func TestHistogramMinEmptyAndSingle(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	if s := h.Snapshot(); s.Min != 0 || s.Max != 0 || s.Count != 0 {
+		t.Fatalf("empty snapshot: min %g max %g count %d", s.Min, s.Max, s.Count)
+	}
+	h.Observe(3)
+	if s := h.Snapshot(); s.Min != 3 || s.Max != 3 {
+		t.Fatalf("single value: min %g max %g, want 3 and 3", s.Min, s.Max)
+	}
+	h.Observe(0.5)
+	h.Observe(9)
+	if s := h.Snapshot(); s.Min != 0.5 || s.Max != 9 {
+		t.Fatalf("three values: min %g max %g, want 0.5 and 9", s.Min, s.Max)
+	}
+}
+
+// TestHistogramMinMerge checks that an empty snapshot on either side
+// of a merge never drags the minimum down to its zero value.
+func TestHistogramMinMerge(t *testing.T) {
+	bounds := []float64{1, 2, 4}
+	empty := func() *HistogramSnapshot { return NewHistogram(bounds).Snapshot() }
+	of := func(vs ...float64) *HistogramSnapshot {
+		h := NewHistogram(bounds)
+		for _, v := range vs {
+			h.Observe(v)
+		}
+		return h.Snapshot()
+	}
+	for _, tc := range []struct {
+		name     string
+		parts    []*HistogramSnapshot
+		min, max float64
+	}{
+		{"empty into empty", []*HistogramSnapshot{empty(), empty()}, 0, 0},
+		{"values into empty", []*HistogramSnapshot{empty(), of(3, 1.5)}, 1.5, 3},
+		{"empty into values", []*HistogramSnapshot{of(3, 1.5), empty()}, 1.5, 3},
+		{"lower min wins", []*HistogramSnapshot{of(2.5), empty(), of(0.25, 8), of(1)}, 0.25, 8},
+	} {
+		s := tc.parts[0]
+		for _, p := range tc.parts[1:] {
+			if err := s.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Min != tc.min || s.Max != tc.max {
+			t.Errorf("%s: min %g max %g, want %g and %g", tc.name, s.Min, s.Max, tc.min, tc.max)
+		}
+	}
+}
+
+// TestHistogramMinFederationRoundTrip sends a registry snapshot through
+// JSON, the encoding node snapshots travel in, and merges the decoded
+// copy back: min and max survive both steps.
+func TestHistogramMinFederationRoundTrip(t *testing.T) {
+	reg := NewRegistry()
+	reg.Histogram("rt_seconds", "round trip", LatencyBuckets, "rpc").With("echo").Observe(0.003)
+	reg.Histogram("rt_seconds", "round trip", LatencyBuckets, "rpc").With("echo").Observe(0.0005)
+	raw, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []FamilySnapshot
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	h := decoded[0].Series[0].Hist
+	if h.Min != 0.0005 || h.Max != 0.003 {
+		t.Fatalf("decoded min %g max %g, want 0.0005 and 0.003", h.Min, h.Max)
+	}
+	other := NewRegistry()
+	other.Histogram("rt_seconds", "round trip", LatencyBuckets, "rpc").With("echo").Observe(0.0001)
+	merged, err := MergeSnapshots(decoded, other.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := merged[0].Series[0].Hist; h.Min != 0.0001 || h.Max != 0.003 || h.Count != 3 {
+		t.Fatalf("merged min %g max %g count %d", h.Min, h.Max, h.Count)
 	}
 }
 
