@@ -73,13 +73,13 @@ sim:
 	fi
 
 # E14 curves: detection latency and false positives vs cluster size
-# and loss, on the deterministic simulator. The leg runs twice and the
-# trace-identity lines must match — same binary, same seed, same
-# trace. CI uploads both tables as artifacts.
-SIM_CURVE_FLAGS ?= -sim-nodes 1000,4000 -sim-loss 0,0.02,0.10 -sim-minutes 2
+# (1000, 4000) and loss (0, 2%, 10%) over two virtual minutes, on the
+# deterministic simulator. The leg runs twice and the trace-identity
+# lines must match — same binary, same seed, same trace. CI uploads
+# both tables as artifacts.
 sim-curves:
-	$(GO) run ./cmd/mochi-bench -sim $(SIM_CURVE_FLAGS) | tee sim-e14-run1.txt
-	$(GO) run ./cmd/mochi-bench -sim $(SIM_CURVE_FLAGS) | tee sim-e14-run2.txt
+	$(GO) run ./cmd/mochi-bench -quick -only E14 | tee sim-e14-run1.txt
+	$(GO) run ./cmd/mochi-bench -quick -only E14 | tee sim-e14-run2.txt
 	@a=$$(grep '^trace-identity:' sim-e14-run1.txt); \
 	b=$$(grep '^trace-identity:' sim-e14-run2.txt); \
 	if [ "$$a" != "$$b" ]; then \
@@ -130,42 +130,37 @@ fuzz:
 	$(GO) test ./internal/yokan/router/ -run '^FuzzRouterWireMessages$$' -fuzz '^FuzzRouterWireMessages$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/metrics/ -run '^FuzzPrometheusExposition$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime $(FUZZTIME)
 
-# Concurrent storage-engine throughput sweep, baseline vs striped, for
-# every backend (about 5s per backend at the default 300ms cells ×
-# 4 worker counts × 2 modes). CI runs this and uploads the table;
-# override THROUGHPUT_FLAGS for longer local runs, e.g.
-#   make bench-throughput THROUGHPUT_FLAGS="-duration 1s -log-sync"
-THROUGHPUT_FLAGS ?= -duration 300ms
-bench-throughput:
-	$(GO) run ./cmd/mochi-bench -throughput $(THROUGHPUT_FLAGS)
+# The bench-smoke legs below each run one experiment's quick sweep; CI
+# runs them and uploads the tables. `go run ./cmd/mochi-bench -only
+# <ID>` runs the same experiment's full sweep.
 
-# Online-resharding throughput leg: live traffic against a 3-node
-# sharded deployment with a migration fired mid-run; reports tail
-# latency before/during/after the move and fails on any lost acked
-# write. CI runs this in bench-smoke and uploads the table.
-RESHARD_FLAGS ?= -duration 1s -reshard-at 300ms
+# Concurrent storage-engine throughput sweep (EXPERIMENTS.md E16),
+# baseline vs striped, for every backend: 300ms cells × 4 worker counts
+# × 2 modes, 50/50 traffic. The full sweep is the durability-bound
+# case: 1s cells, write-only, the log backend fsyncing.
+bench-throughput:
+	$(GO) run ./cmd/mochi-bench -quick -only E16
+
+# Online-resharding throughput leg (EXPERIMENTS.md E11): 1s of live
+# traffic against a 3-node sharded deployment with a migration fired
+# at 300ms; reports tail latency before/during/after the move and
+# fails on any lost acked write.
 bench-reshard:
-	$(GO) run ./cmd/mochi-bench -throughput $(RESHARD_FLAGS)
+	$(GO) run ./cmd/mochi-bench -quick -only E11
 
 # Transport connection-scaling sweep (EXPERIMENTS.md E12): real TCP
-# sockets from hundreds of client classes against one server, sweeping
-# per-destination pool size and GOMAXPROCS. The default includes a
-# thousand-socket leg (256 clients × pool 4). CI runs this in
-# bench-smoke and uploads the table; override for longer local runs:
-#   make bench-c10k C10K_FLAGS="-conns 256 -c10k-workers 1024 -pools 4"
-C10K_FLAGS ?= -conns 16,64,256 -c10k-workers 256 -pools 1,4 -gomaxprocs 1,2,4 -duration 500ms
+# sockets from 16 and 64 client classes against one server, pool 1 vs
+# 4. The full sweep adds the thousand-socket leg (256 clients × pool 4)
+# and GOMAXPROCS 1, 2 and 4.
 bench-c10k:
-	$(GO) run ./cmd/mochi-bench -c10k $(C10K_FLAGS)
+	$(GO) run ./cmd/mochi-bench -quick -only E12
 
 # Raft hot-path sweep (EXPERIMENTS.md E15): a 3-member RaftKV group,
 # before (single-entry appends, gets through the log) vs after (group
 # commit + batched apply + ReadIndex gets), reporting ops/s and leader
-# fsyncs per op. CI runs this in bench-smoke and uploads the table;
-# override for the full table, e.g.
-#   make bench-raft RAFT_FLAGS="-duration 1s"
-RAFT_FLAGS ?= -raft-clients 1,8,64 -raft-stores file,mem -raft-mixes 0,0.9 -duration 400ms
+# fsyncs per op, at 1 and 8 clients; the full sweep adds 64 clients.
 bench-raft:
-	$(GO) run ./cmd/mochi-bench -raft $(RAFT_FLAGS)
+	$(GO) run ./cmd/mochi-bench -quick -only E15
 
 # The introspection-plane smoke (EXPERIMENTS.md E13): the multi-node
 # metrics federation, exemplar→trace resolution, SLO burn-rate health

@@ -15,7 +15,7 @@ type AutoBalanceConfig struct {
 	// Objectives for the Pufferscale plans.
 	Objectives pufferscale.Objectives
 	// DataImbalanceThreshold triggers a rebalance when max/mean node
-	// data exceeds it (default 1.5).
+	// data exceeds it (default 1.5; a ratio equal to it does not).
 	DataImbalanceThreshold float64
 	// LoadImbalanceThreshold triggers on max/mean node load
 	// (default 1.5; set very high to balance on data only).
@@ -40,23 +40,20 @@ func (c AutoBalanceConfig) withDefaults() AutoBalanceConfig {
 // for informed decisions", and §6 (Observation 6) plans to use "the
 // performance introspection tools presented in Section 4 to guide
 // load rebalancing". The balancer periodically inventories the
-// service (handler ULTs per provider over the last interval, bytes on
-// disk), evaluates the placement, and executes a Pufferscale plan when
-// imbalance crosses the configured thresholds.
+// service (handler ULTs per provider, bytes on disk), hands it to a
+// pufferscale.Evaluator — the placement loop the router's shard
+// balancer runs too — and executes the plan it returns when imbalance
+// exceeds the configured thresholds.
 type AutoBalancer struct {
-	svc *Service
-	cfg AutoBalanceConfig
+	svc  *Service
+	cfg  AutoBalanceConfig
+	eval pufferscale.Evaluator // owned by the loop goroutine
 
 	mu       sync.Mutex
 	evals    int
 	triggers int
 	lastPlan *pufferscale.Plan
 	lastErr  error
-
-	// served holds each resource's ULT count at the previous
-	// evaluation: the balancer weighs the load of its own interval,
-	// not the history since each process started.
-	served map[placement]float64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -109,12 +106,8 @@ func (ab *AutoBalancer) loop() {
 	}
 }
 
-// placement identifies a resource on the node hosting it.
-type placement struct{ node, id string }
-
-// evaluate computes the current placement metrics with a dry-run plan
-// (all movement forbidden), then executes a real plan if thresholds
-// are crossed.
+// evaluate inventories the service and, when the evaluator finds the
+// placement out of bounds, executes its plan with REMI migrations.
 func (ab *AutoBalancer) evaluate() {
 	ab.mu.Lock()
 	ab.evals++
@@ -124,38 +117,16 @@ func (ab *AutoBalancer) evaluate() {
 	if err != nil {
 		return
 	}
-	ab.loadSinceLastEvaluation(inv.resources)
-	// Dry run: an all-WTime plan never moves anything but reports the
-	// imbalance of the current placement.
-	current, err := pufferscale.Rebalance(inv.resources, inv.nodes, pufferscale.Objectives{WTime: 1})
-	if err != nil {
-		return
-	}
-	if current.DataImbalance() < ab.cfg.DataImbalanceThreshold &&
-		current.LoadImbalance() < ab.cfg.LoadImbalanceThreshold {
+	plan, _, err := ab.eval.Evaluate(inv.resources, inv.nodes, ab.cfg.Objectives,
+		ab.cfg.LoadImbalanceThreshold, ab.cfg.DataImbalanceThreshold)
+	if err != nil || plan == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	plan, err := inv.rebalance(ctx, ab.cfg.Objectives)
+	err = inv.execute(ctx, plan)
 	cancel()
 	ab.mu.Lock()
 	ab.triggers++
 	ab.lastPlan, ab.lastErr = plan, err
 	ab.mu.Unlock()
-}
-
-// loadSinceLastEvaluation turns each resource's cumulative ULT count
-// into the count since the previous evaluation. A resource seen for
-// the first time on its node keeps its full count.
-func (ab *AutoBalancer) loadSinceLastEvaluation(resources []pufferscale.Resource) {
-	served := make(map[placement]float64, len(resources))
-	for i := range resources {
-		r := &resources[i]
-		k := placement{r.Node, r.ID}
-		served[k] = r.Load
-		if prev, ok := ab.served[k]; ok && prev <= r.Load {
-			r.Load -= prev
-		}
-	}
-	ab.served = served
 }

@@ -134,26 +134,3 @@ func TestAutoBalancerIdleOnBalancedService(t *testing.T) {
 		t.Fatalf("balancer triggered %d times on a balanced service", triggers)
 	}
 }
-
-// TestAutoBalancerLoadIsPerInterval: the balancer weighs the ULTs run
-// since its previous evaluation, so an early burst of traffic does not
-// keep a service looking imbalanced forever.
-func TestAutoBalancerLoadIsPerInterval(t *testing.T) {
-	ab := &AutoBalancer{}
-	for i, step := range []struct {
-		node       string
-		cumulative float64
-		want       float64
-	}{
-		{"node-0", 10, 10}, // first sight: the whole count
-		{"node-0", 15, 5},  // growth since the previous evaluation
-		{"node-0", 15, 0},  // idle interval
-		{"node-1", 3, 3},   // migrated: first sight on the new node
-	} {
-		res := []pufferscale.Resource{{ID: "db", Node: step.node, Load: step.cumulative}}
-		ab.loadSinceLastEvaluation(res)
-		if res[0].Load != step.want {
-			t.Fatalf("evaluation %d: load %g, want %g", i, res[0].Load, step.want)
-		}
-	}
-}

@@ -416,16 +416,16 @@ func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*p
 	if err != nil {
 		return nil, err
 	}
-	return inv.rebalance(ctx, obj)
-}
-
-// rebalance plans over the inventory and executes the plan's moves.
-func (inv *inventory) rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
 	plan, err := pufferscale.Rebalance(inv.resources, inv.nodes, obj)
 	if err != nil {
 		return nil, err
 	}
-	_, err = plan.Execute(ctx, func(ctx context.Context, m pufferscale.Move) error {
+	return plan, inv.execute(ctx, plan)
+}
+
+// execute carries out the plan's moves over the inventory's members.
+func (inv *inventory) execute(ctx context.Context, plan *pufferscale.Plan) error {
+	_, err := plan.Execute(ctx, func(ctx context.Context, m pufferscale.Move) error {
 		src, ok := inv.procs[m.From]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchNode, m.From)
@@ -436,7 +436,7 @@ func (inv *inventory) rebalance(ctx context.Context, obj pufferscale.Objectives)
 		}
 		return src.Server.MigrateProvider(ctx, m.ResourceID, dst.Addr(), dst.Server.RemiProviderID(), remi.MethodAuto, true)
 	}, 1)
-	return plan, err
+	return err
 }
 
 // CheckpointAll saves every checkpointable provider of every member

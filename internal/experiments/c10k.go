@@ -181,19 +181,17 @@ func runC10KCell(conns, workers, pool int, d time.Duration, payloadSize int) (in
 }
 
 // E12Transport adapts RunC10K to the experiment Runner shape. Quick
-// mode shrinks the sweep to CI scale; full mode runs the thousand-
-// socket cells.
+// mode shrinks the sweep to CI scale at the current GOMAXPROCS; full
+// mode runs the thousand-socket cells at GOMAXPROCS 1, 2 and 4.
 func E12Transport(quick bool) (*Table, error) {
-	opts := C10KOptions{
-		Conns:    []int{16, 64, 256},
-		Workers:  256,
-		Pools:    []int{1, 4},
-		Duration: time.Second,
-	}
 	if quick {
-		opts.Conns = []int{16, 64}
-		opts.Workers = 64
-		opts.Duration = 300 * time.Millisecond
+		return RunC10K(C10KOptions{Conns: []int{16, 64}, Workers: 128, Pools: []int{1, 4}, Duration: 300 * time.Millisecond})
 	}
-	return RunC10K(opts)
+	return RunC10K(C10KOptions{
+		Conns:      []int{16, 64, 256},
+		Workers:    256,
+		Pools:      []int{1, 4},
+		GOMAXPROCS: []int{1, 2, 4},
+		Duration:   500 * time.Millisecond,
+	})
 }

@@ -158,6 +158,46 @@ func All() []Runner {
 		{"E8", "Virtual-resource replication overhead", E8VirtualKV},
 		{"E9", "Yokan backend comparison", E9Backends},
 		{"E10", "Dynamic vs static HEPnOS workflow", E10Hepnos},
+		{"E11", "Tail latency during online resharding", E11Reshard},
+		{"E12", "Transport scaling: connections × pool size × GOMAXPROCS", E12Transport},
 		{"E14", "SWIM at scale on the deterministic simulator", E14SwimSim},
+		{"E15", "Raft hot path: group commit, batched apply, ReadIndex", E15Raft},
+		{"E16", "Storage-engine scaling: lock striping and group commit", E16Storage},
 	}
+}
+
+// Select returns the runners named in only — comma-separated IDs,
+// case-insensitive — in suite order; an empty list selects every
+// runner. An unknown ID is an error that lists the valid ones, so a
+// typo never runs nothing and passes.
+func Select(only string) ([]Runner, error) { return selectRunners(All(), only) }
+
+func selectRunners(all []Runner, only string) ([]Runner, error) {
+	ids := make([]string, 0, len(all))
+	known := map[string]bool{}
+	for _, r := range all {
+		if known[r.ID] {
+			return nil, fmt.Errorf("two experiments share the ID %s", r.ID)
+		}
+		known[r.ID] = true
+		ids = append(ids, r.ID)
+	}
+	if only == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(ids, ","))
+		}
+		want[id] = true
+	}
+	var out []Runner
+	for _, r := range all {
+		if want[r.ID] {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }

@@ -78,6 +78,33 @@ func TestE14Quick(t *testing.T) {
 	}
 }
 
+// Select runs exactly the named experiments, in suite order, and
+// refuses an unknown ID instead of running nothing.
+func TestSelect(t *testing.T) {
+	got, err := Select("e16, E11,E12,E14,E15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range got {
+		ids = append(ids, r.ID)
+	}
+	if strings.Join(ids, ",") != "E11,E12,E14,E15,E16" {
+		t.Fatalf("selected %v", ids)
+	}
+	if all, err := Select(""); err != nil || len(all) != len(All()) {
+		t.Fatalf("empty selection: %d runners, %v", len(all), err)
+	}
+	_, err = Select("E1,E99")
+	if err == nil || !strings.Contains(err.Error(), "E99") || !strings.Contains(err.Error(), "E16") {
+		t.Fatalf("unknown ID: err = %v, want it named with the valid IDs", err)
+	}
+	dup := []Runner{{ID: "E1"}, {ID: "E2"}, {ID: "E1"}}
+	if _, err := selectRunners(dup, "E2"); err == nil {
+		t.Fatal("two runners sharing an ID were accepted")
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := &Table{
 		ID:      "EX",

@@ -19,11 +19,11 @@ import (
 	"mochi/internal/yokan"
 )
 
-// RaftBenchOptions configures the replicated-KV hot-path sweep behind
-// `mochi-bench -raft` (EXPERIMENTS.md E15). Each cell drives a fresh
-// 3-member RaftKV group over the sm fabric with N concurrent client
-// sessions, before (single-entry appends, gets through the log) vs
-// after (group commit + batched apply, ReadIndex gets).
+// RaftBenchOptions configures the replicated-KV hot-path sweep
+// (EXPERIMENTS.md E15). Each cell drives a fresh 3-member RaftKV group
+// over the sm fabric with N concurrent client sessions, before
+// (single-entry appends, gets through the log) vs after (group commit
+// + batched apply, ReadIndex gets).
 type RaftBenchOptions struct {
 	// Clients is the concurrent-session counts to sweep (default 1, 8, 64).
 	Clients []int
@@ -339,4 +339,14 @@ func RunRaftBench(opts RaftBenchOptions) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// E15Raft adapts RunRaftBench to the Runner shape, with 128B values.
+// Quick mode drops the 64-client cells and runs 300ms cells; full
+// mode runs 400ms.
+func E15Raft(quick bool) (*Table, error) {
+	if quick {
+		return RunRaftBench(RaftBenchOptions{Clients: []int{1, 8}, Duration: 300 * time.Millisecond, ValueSize: 128})
+	}
+	return RunRaftBench(RaftBenchOptions{Duration: 400 * time.Millisecond, ValueSize: 128})
 }

@@ -15,12 +15,11 @@ import (
 )
 
 // ReshardOptions configures the online-resharding throughput leg
-// behind `mochi-bench -throughput -reshard-at` (EXPERIMENTS.md
-// "Tail latency during online resharding"). Unlike the local
-// storage-engine sweep this drives a full sharded deployment — three
-// router nodes over the simulated fabric — and fires a live migration
-// mid-run, so the table separates tail latency before, during, and
-// after the reconfiguration.
+// (EXPERIMENTS.md E11, "Tail latency during online resharding").
+// Unlike the local storage-engine sweep this drives a full sharded
+// deployment — three router nodes over the simulated fabric — and
+// fires a live migration mid-run, so the table separates tail latency
+// before, during, and after the reconfiguration.
 type ReshardOptions struct {
 	// Workers is the number of client goroutines (default 4).
 	Workers int
@@ -36,7 +35,8 @@ type ReshardOptions struct {
 	Keyspace int
 	// ValueSize in bytes (default 128).
 	ValueSize int
-	// ReadFraction is the probability an op is a Get (default 0.5).
+	// ReadFraction is the probability an op is a Get (0 = write-only;
+	// out-of-range values become 0.5).
 	ReadFraction float64
 }
 
@@ -266,7 +266,7 @@ func RunReshardThroughput(opts ReshardOptions) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:      "RESHARD",
+		ID:      "E11",
 		Title:   "client latency across an online resharding (3 nodes, live traffic)",
 		Columns: []string{"phase", "ops", "ops/s", "p50", "p99", "max"},
 	}
@@ -304,4 +304,11 @@ func RunReshardThroughput(opts ReshardOptions) (*Table, error) {
 		return t, fmt.Errorf("reshard leg moved no shards")
 	}
 	return t, nil
+}
+
+// E11Reshard adapts RunReshardThroughput to the Runner shape: one
+// second of 50/50 traffic with the migration fired at 300ms, in both
+// modes. It fails on any lost acked write.
+func E11Reshard(bool) (*Table, error) {
+	return RunReshardThroughput(ReshardOptions{Duration: time.Second, ReshardAt: 300 * time.Millisecond, ReadFraction: 0.5})
 }

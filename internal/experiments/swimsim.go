@@ -112,12 +112,13 @@ func RunSwimSim(opts SwimSimOptions) (*Table, error) {
 }
 
 // E14SwimSim adapts RunSwimSim to the Runner shape. Quick mode drops
-// the 10k cell and shortens the run so the suite stays inside CI time.
+// the 10k cell and runs two virtual minutes so the suite stays inside
+// CI time.
 func E14SwimSim(quick bool) (*Table, error) {
 	opts := SwimSimOptions{}
 	if quick {
 		opts.Nodes = []int{1000, 4000}
-		opts.Duration = time.Minute
+		opts.Duration = 2 * time.Minute
 	}
 	return RunSwimSim(opts)
 }

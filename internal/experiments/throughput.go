@@ -13,9 +13,9 @@ import (
 )
 
 // ThroughputOptions configures the concurrent storage-engine
-// throughput sweep behind `mochi-bench -throughput` (EXPERIMENTS.md
-// "Storage-engine scaling"). The sweep drives a local Database — no
-// RPC — so it isolates the engine's locking behaviour.
+// throughput sweep (EXPERIMENTS.md E16, "Storage-engine scaling").
+// The sweep drives a local Database — no RPC — so it isolates the
+// engine's locking behaviour.
 type ThroughputOptions struct {
 	// Backends to sweep (default map, skiplist, btree, log).
 	Backends []string
@@ -23,7 +23,8 @@ type ThroughputOptions struct {
 	Workers []int
 	// Duration each (backend, mode, workers) cell runs (default 1s).
 	Duration time.Duration
-	// ReadFraction is the probability an op is a Get (default 0.5).
+	// ReadFraction is the probability an op is a Get (0 = write-only;
+	// out-of-range values become 0.5).
 	ReadFraction float64
 	// ValueSize in bytes (default 128).
 	ValueSize int
@@ -36,10 +37,6 @@ type ThroughputOptions struct {
 	// LogSync enables fsync on the log backend (default off; turn on
 	// to measure group commit against real commit latency).
 	LogSync bool
-	// BaselineOnly / StripedOnly restrict the sweep to one mode;
-	// normally both run so the table carries before/after columns.
-	BaselineOnly bool
-	StripedOnly  bool
 	// Dir is where log files go (default os.TempDir()).
 	Dir string
 }
@@ -156,7 +153,7 @@ func measureThroughput(db yokan.Database, workers, keyspace, valueSize int, read
 func RunThroughput(opts ThroughputOptions) (*Table, error) {
 	opts.fill()
 	t := &Table{
-		ID:      "THR",
+		ID:      "E16",
 		Title:   "storage-engine concurrent throughput (local, no RPC)",
 		Columns: []string{"backend", "workers", "baseline ops/s", "striped ops/s", "speedup"},
 	}
@@ -181,17 +178,13 @@ func RunThroughput(opts ThroughputOptions) (*Table, error) {
 
 	for _, backend := range opts.Backends {
 		for _, workers := range opts.Workers {
-			var base, striped float64
-			var err error
-			if !opts.StripedOnly {
-				if base, err = run(backend, true, workers); err != nil {
-					return nil, fmt.Errorf("%s baseline w=%d: %w", backend, workers, err)
-				}
+			base, err := run(backend, true, workers)
+			if err != nil {
+				return nil, fmt.Errorf("%s baseline w=%d: %w", backend, workers, err)
 			}
-			if !opts.BaselineOnly {
-				if striped, err = run(backend, false, workers); err != nil {
-					return nil, fmt.Errorf("%s striped w=%d: %w", backend, workers, err)
-				}
+			striped, err := run(backend, false, workers)
+			if err != nil {
+				return nil, fmt.Errorf("%s striped w=%d: %w", backend, workers, err)
 			}
 			speedup := "-"
 			if base > 0 && striped > 0 {
@@ -202,6 +195,17 @@ func RunThroughput(opts ThroughputOptions) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// E16Storage adapts RunThroughput to the Runner shape. Quick mode runs
+// 300ms cells of 50/50 traffic without fsync; full mode runs the
+// durability-bound case the group-commit table in EXPERIMENTS.md
+// records: 1s cells, write-only, the log backend fsyncing.
+func E16Storage(quick bool) (*Table, error) {
+	if quick {
+		return RunThroughput(ThroughputOptions{Duration: 300 * time.Millisecond, ReadFraction: 0.5})
+	}
+	return RunThroughput(ThroughputOptions{Duration: time.Second, LogSync: true})
 }
 
 func fmtOps(v float64) string {

@@ -153,10 +153,10 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 		return nil
 	}
 
-	seq := c.seq.Add(1)
-	ch := getReplyChan()
-	c.pending.add(seq, ch)
-
+	seq, ch, err := c.await()
+	if err != nil {
+		return err
+	}
 	msg := getMessage()
 	msg.seq = seq
 	msg.src = c.Addr()
@@ -169,7 +169,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 		msg.kind = msgBulkWrite
 		msg.payload = local.mem[localOff : localOff+size]
 	}
-	err := c.send(ctx, desc.Addr, msg)
+	err = c.send(ctx, desc.Addr, msg)
 	msg.payload = nil // borrowed from the local region
 	putMessage(msg)
 	if err != nil {
@@ -185,6 +185,9 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 		if status != 0 {
 			resp.releasePayload()
 			putMessage(resp)
+			if status == statusClassClosed {
+				return ErrClassClosed
+			}
 			return fmt.Errorf("%w: %s", ErrBadBulk, errmsg)
 		}
 		var copyErr error

@@ -252,6 +252,32 @@ func (t *pendingTable) remove(seq uint64) {
 	s.mu.Unlock()
 }
 
+// statusClassClosed is the status of the local response Close hands
+// to every waiter still in the table; it never goes on the wire.
+const statusClassClosed = 255
+
+// closeAll releases every waiter with a statusClassClosed response and
+// empties the table, so later deliveries find no one waiting.
+func (t *pendingTable) closeAll() {
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		for seq, ch := range s.m {
+			m := getMessage()
+			m.kind = msgResponse
+			m.seq = seq
+			m.status = statusClassClosed
+			select {
+			case ch <- m:
+			default: // a real response is already there
+				putMessage(m)
+			}
+			delete(s.m, seq)
+		}
+		s.mu.Unlock()
+	}
+}
+
 // replyChanPool recycles the one-shot response channels of Forward and
 // BulkTransfer. Channels are pointer-shaped, so Get/Put do not box.
 var replyChanPool = sync.Pool{New: func() any { return make(chan *message, 1) }}
@@ -435,16 +461,26 @@ func (c *Class) ForwardProviderTrace(ctx context.Context, dst string, id RPCID, 
 	return c.forwardProvider(ctx, dst, id, provider, input, tc)
 }
 
-func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provider uint16, input []byte, tc trace.SpanContext) ([]byte, error) {
+// await registers a reply channel under a fresh sequence number. It
+// checks closed and registers under one read lock, so Close, which
+// drains the table after setting closed, releases every waiter.
+func (c *Class) await() (uint64, chan *message, error) {
 	c.mu.RLock()
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
-		return nil, ErrClassClosed
+	defer c.mu.RUnlock()
+	if c.closed {
+		return 0, nil, ErrClassClosed
 	}
 	seq := c.seq.Add(1)
 	ch := getReplyChan()
 	c.pending.add(seq, ch)
+	return seq, ch, nil
+}
+
+func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provider uint16, input []byte, tc trace.SpanContext) ([]byte, error) {
+	seq, ch, err := c.await()
+	if err != nil {
+		return nil, err
+	}
 
 	req := getMessage()
 	req.kind = msgRequest
@@ -460,7 +496,7 @@ func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provi
 	if m := c.mon(); m != nil {
 		m.SentRequest(id, provider, dst, len(input))
 	}
-	err := c.send(ctx, dst, req)
+	err = c.send(ctx, dst, req)
 	req.payload = nil // borrowed from the caller, not ours to recycle
 	putMessage(req)
 	if err != nil {
@@ -503,6 +539,8 @@ func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provi
 			return nil, fmt.Errorf("%w: rpc %#x at %s", ErrNoHandler, id, dst)
 		case 3:
 			return nil, fmt.Errorf("%w: rpc %#x at %s", ErrUnauthorized, id, dst)
+		case statusClassClosed:
+			return nil, ErrClassClosed
 		default:
 			return nil, fmt.Errorf("%w: %s", ErrRemoteFailure, errmsg)
 		}
@@ -759,8 +797,9 @@ func (h *Handle) respond(status uint8, errmsg string, output []byte) error {
 	return err
 }
 
-// Close shuts the class down: the address becomes unreachable and all
-// registered state is dropped.
+// Close shuts the class down: the address becomes unreachable, every
+// forward and bulk transfer still waiting for a reply returns
+// ErrClassClosed, and all registered state is dropped.
 func (c *Class) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -768,8 +807,14 @@ func (c *Class) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.mu.Unlock()
+	// Stop ingress before dropping the handlers, so a request still
+	// arriving is never answered with ErrNoHandler.
+	err := c.tr.close()
+	c.pending.closeAll()
+	c.mu.Lock()
 	c.handlers = map[rpcKey]*rpcEntry{}
 	c.mu.Unlock()
 	close(c.workDone)
-	return c.tr.close()
+	return err
 }

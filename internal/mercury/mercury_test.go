@@ -248,6 +248,37 @@ func TestClosedClassRejectsForward(t *testing.T) {
 	}
 }
 
+// Closing a class releases the forwards parked on it with
+// ErrClassClosed instead of leaving them to wait out their deadline.
+func TestCloseReleasesParkedForward(t *testing.T) {
+	_, a, b := newPair(t)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	b.Register("block", func(h *Handle) {
+		close(entered)
+		<-release
+		_ = h.Respond(nil)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := a.Forward(ctx, b.Addr(), NameToID("block"), nil)
+		errc <- err
+	}()
+	<-entered
+	a.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClassClosed) {
+			t.Fatalf("parked forward returned %v, want ErrClassClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("parked forward still waiting 1s after Close")
+	}
+}
+
 func TestPayloadIsolation(t *testing.T) {
 	_, a, b := newPair(t)
 	got := make(chan []byte, 1)

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -74,19 +75,90 @@ type Plan struct {
 }
 
 // LoadImbalance is max/mean node load (1.0 = perfectly balanced).
-func (p *Plan) LoadImbalance() float64 {
-	if p.MeanLoad == 0 {
-		return 1
-	}
-	return p.MaxLoad / p.MeanLoad
-}
+func (p *Plan) LoadImbalance() float64 { return ratio(p.MaxLoad, p.MeanLoad) }
 
 // DataImbalance is max/mean node data (1.0 = perfectly balanced).
-func (p *Plan) DataImbalance() float64 {
-	if p.MeanData == 0 {
+func (p *Plan) DataImbalance() float64 { return ratio(p.MaxData, p.MeanData) }
+
+// ratio is max/mean, or 1 when there is nothing to balance.
+func ratio(max, mean float64) float64 {
+	if mean == 0 {
 		return 1
 	}
-	return p.MaxData / p.MeanData
+	return max / mean
+}
+
+// Imbalance measures the placement as it stands: max/mean node load
+// and max/mean node data over the (non-empty) node set, the ratios
+// Plan.LoadImbalance and Plan.DataImbalance report for a plan's
+// outcome.
+func Imbalance(resources []Resource, nodes []string) (load, data float64) {
+	type sums struct{ load, data float64 }
+	perNode := make(map[string]sums, len(nodes))
+	var total, max sums
+	for _, r := range resources {
+		s := perNode[r.Node]
+		s.load += r.Load
+		s.data += r.Size
+		perNode[r.Node] = s
+		total.load += r.Load
+		total.data += r.Size
+	}
+	for _, s := range perNode {
+		max.load = math.Max(max.load, s.load)
+		max.data = math.Max(max.data, s.data)
+	}
+	n := float64(len(nodes))
+	return ratio(max.load, total.load/n), ratio(max.data, total.data/n)
+}
+
+// Evaluator is the decision half of a placement loop, shared by every
+// service that rebalances: each evaluation turns cumulative load
+// counters into the load of the last interval, measures the current
+// placement, and plans only when it is out of bounds. Carrying out
+// the plan stays with the caller (Plan.Execute with its Migrator, or
+// one move at a time).
+//
+// A resource's Load is passed in as a cumulative counter; Evaluate
+// replaces it, in place, with the growth since the previous
+// evaluation that saw the resource on the same node. A resource seen
+// for the first time on its node (new, or just migrated there), or
+// whose counter went backwards (its process restarted), keeps its
+// full count. The zero Evaluator is ready to use; it is not safe for
+// concurrent use.
+type Evaluator struct {
+	prev map[placement]float64
+}
+
+// placement identifies a resource on the node hosting it.
+type placement struct{ node, id string }
+
+// Evaluate runs one evaluation over the interval's resources. The
+// placement is out of bounds when its load imbalance is strictly
+// greater than maxLoad or its data imbalance strictly greater than
+// maxData (a ratio equal to its bound is within bounds); only then is
+// a plan computed with obj. It returns that plan (nil within bounds)
+// and the measured load imbalance of the current placement.
+func (e *Evaluator) Evaluate(resources []Resource, nodes []string, obj Objectives, maxLoad, maxData float64) (*Plan, float64, error) {
+	seen := make(map[placement]float64, len(resources))
+	for i := range resources {
+		r := &resources[i]
+		k := placement{r.Node, r.ID}
+		seen[k] = r.Load
+		if prev, ok := e.prev[k]; ok && prev <= r.Load {
+			r.Load -= prev
+		}
+	}
+	e.prev = seen
+	if len(nodes) == 0 {
+		return nil, 0, ErrNoNodes
+	}
+	load, data := Imbalance(resources, nodes)
+	if load <= maxLoad && data <= maxData {
+		return nil, load, nil
+	}
+	plan, err := Rebalance(resources, nodes, obj)
+	return plan, load, err
 }
 
 // Rebalance computes a placement of resources onto nodes.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -257,5 +258,128 @@ func BenchmarkRebalance1000Resources(b *testing.B) {
 		if _, err := Rebalance(res, nodes, Objectives{WLoad: 1, WData: 1, WTime: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Imbalance measures the current placement directly; it must agree
+// with the all-WTime dry run, which never moves a resource and so
+// reports the placement as it stands.
+func TestImbalanceMatchesDryRun(t *testing.T) {
+	nodes := []string{"a", "b", "c"}
+	for _, tc := range []struct {
+		name string
+		res  []Resource
+	}{
+		{"skewed", []Resource{
+			{ID: "r1", Node: "a", Load: 90, Size: 400},
+			{ID: "r2", Node: "a", Load: 6, Size: 300},
+			{ID: "r3", Node: "b", Load: 3, Size: 200},
+		}},
+		{"balanced", []Resource{
+			{ID: "r1", Node: "a", Load: 10, Size: 100},
+			{ID: "r2", Node: "b", Load: 10, Size: 100},
+			{ID: "r3", Node: "c", Load: 10, Size: 100},
+		}},
+		{"empty load", []Resource{
+			{ID: "r1", Node: "a", Size: 500},
+			{ID: "r2", Node: "c", Size: 100},
+		}},
+		{"zero size", []Resource{
+			{ID: "r1", Node: "b", Load: 7},
+			{ID: "r2", Node: "b", Load: 5},
+			{ID: "r3", Node: "c", Load: 1},
+		}},
+		{"no resources", nil},
+	} {
+		dry, err := Rebalance(tc.res, nodes, Objectives{WTime: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dry.Moves) != 0 {
+			t.Fatalf("%s: dry run moved %v", tc.name, dry.Moves)
+		}
+		load, data := Imbalance(tc.res, nodes)
+		if load != dry.LoadImbalance() || data != dry.DataImbalance() {
+			t.Fatalf("%s: Imbalance = (%g, %g), dry run = (%g, %g)",
+				tc.name, load, data, dry.LoadImbalance(), dry.DataImbalance())
+		}
+	}
+}
+
+// TestEvaluatorLoadIsPerInterval: the evaluator weighs the load since
+// its previous evaluation, so an early burst of traffic does not keep
+// a service looking imbalanced forever.
+func TestEvaluatorLoadIsPerInterval(t *testing.T) {
+	var ev Evaluator
+	nodes := []string{"node-0", "node-1"}
+	inf := math.Inf(1)
+	for i, step := range []struct {
+		node       string
+		cumulative float64
+		want       float64
+	}{
+		{"node-0", 10, 10}, // first sight: the whole count
+		{"node-0", 15, 5},  // growth since the previous evaluation
+		{"node-0", 15, 0},  // idle interval
+		{"node-1", 3, 3},   // migrated: first sight on the new node
+	} {
+		res := []Resource{{ID: "db", Node: step.node, Load: step.cumulative}}
+		if _, _, err := ev.Evaluate(res, nodes, Objectives{}, inf, inf); err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Load != step.want {
+			t.Fatalf("evaluation %d: load %g, want %g", i, res[0].Load, step.want)
+		}
+	}
+}
+
+// The trigger is strict: a placement whose imbalance equals its bound
+// is within bounds, one just above it is planned.
+func TestEvaluatorThresholdIsStrict(t *testing.T) {
+	nodes := []string{"a", "b"}
+	// Loads 3 and 1: max/mean = 3/2 = 1.5 exactly. Sizes are equal.
+	mk := func() []Resource {
+		return []Resource{
+			{ID: "r1", Node: "a", Load: 2, Size: 1},
+			{ID: "r2", Node: "a", Load: 1, Size: 1},
+			{ID: "r3", Node: "b", Load: 1, Size: 2},
+		}
+	}
+	var ev Evaluator
+	plan, load, err := ev.Evaluate(mk(), nodes, Objectives{WLoad: 1}, 1.5, 10)
+	if err != nil || plan != nil || load != 1.5 {
+		t.Fatalf("at the bound: plan %v, load %g, err %v; want no plan, 1.5", plan, load, err)
+	}
+	ev = Evaluator{}
+	plan, load, err = ev.Evaluate(mk(), nodes, Objectives{WLoad: 1}, 1.49, 10)
+	if err != nil || plan == nil || load != 1.5 {
+		t.Fatalf("above the bound: plan %v, load %g, err %v; want a plan", plan, load, err)
+	}
+	// Data alone triggers too: sizes 2 and 2 are balanced, 4 and 0 not.
+	ev = Evaluator{}
+	skew := []Resource{{ID: "r1", Node: "a", Size: 2}, {ID: "r2", Node: "a", Size: 2}}
+	if plan, _, _ := ev.Evaluate(skew, nodes, Objectives{WData: 1}, 10, 1.5); plan == nil || len(plan.Moves) != 1 {
+		t.Fatalf("data skew: plan %+v, want one move", plan)
+	}
+}
+
+// Within bounds the evaluator returns no plan, and an idle second
+// interval measures zero load, not the history.
+func TestEvaluatorNilPlanWithinBounds(t *testing.T) {
+	var ev Evaluator
+	nodes := []string{"a", "b"}
+	res := func() []Resource {
+		return []Resource{{ID: "hot", Node: "a", Load: 100}, {ID: "cold", Node: "b", Load: 1}}
+	}
+	plan, load, err := ev.Evaluate(res(), nodes, Objectives{}, 1.25, math.Inf(1))
+	if err != nil || plan == nil || load <= 1.25 {
+		t.Fatalf("first interval: plan %v, load %g, err %v; want a plan", plan, load, err)
+	}
+	plan, load, err = ev.Evaluate(res(), nodes, Objectives{}, 1.25, math.Inf(1))
+	if err != nil || plan != nil || load != 1 {
+		t.Fatalf("idle interval: plan %+v, load %g, err %v; want nil plan at 1.0", plan, load, err)
+	}
+	if _, _, err := ev.Evaluate(res(), nil, Objectives{}, 1, 1); !errors.Is(err, ErrNoNodes) {
+		t.Fatalf("no nodes: err = %v", err)
 	}
 }

@@ -3,7 +3,9 @@ package router
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
 	"mochi/internal/codec"
 	"mochi/internal/margo"
@@ -12,11 +14,11 @@ import (
 
 // Balancer turns per-shard load samples into migrations, driven by
 // Pufferscale's heuristic rather than a hardcoded plan: it samples
-// every node's shard counters (RPCStats), diffs them against the
-// previous sample to estimate load, asks pufferscale.Rebalance for a
-// placement over the candidate nodes, and — when the measured
-// imbalance crosses the threshold — executes the move of the hottest
-// shard through the owner's Reshard RPC.
+// every node's shard counters (RPCStats) and hands them to a
+// pufferscale.Evaluator — the placement loop core.AutoBalancer runs
+// too — which plans over the candidate nodes when the load imbalance
+// exceeds the threshold. The balancer then moves the hottest shard
+// the plan relocates through the owner's Reshard RPC.
 //
 // The balancer is the coordinator the epoch protocol assumes: one
 // balancer per keyspace, moving one shard at a time (DESIGN.md §9).
@@ -32,7 +34,7 @@ type Balancer struct {
 	// worth its cost (default 1.25).
 	Threshold float64
 
-	prev map[uint32]uint64 // last cumulative ops sample per shard
+	eval pufferscale.Evaluator
 }
 
 // NewBalancer creates a balancer for the keyspace served by the
@@ -79,100 +81,55 @@ type Decision struct {
 }
 
 // Plan samples the cluster and returns the single best move, or nil
-// if the load is within Threshold. Load is the delta of each shard's
-// op counter since the previous Plan call (the first call primes the
-// baseline and reports no move unless byte sizes alone justify one).
+// if the load is within Threshold. A shard's load is its op count
+// over the interval since the previous Plan, as pufferscale.Evaluator
+// defines it.
 func (b *Balancer) Plan(ctx context.Context, m *Map) (*Decision, error) {
 	stats, err := b.sample(ctx, m)
 	if err != nil {
 		return nil, err
 	}
-	loads := make(map[uint32]float64, len(stats))
-	for sid, s := range stats {
-		d := s.Ops
-		if prev, ok := b.prev[sid]; ok && prev <= s.Ops {
-			d = s.Ops - prev
-		}
-		loads[sid] = float64(d)
-	}
-	if b.prev == nil {
-		b.prev = map[uint32]uint64{}
-	}
-	for sid, s := range stats {
-		b.prev[sid] = s.Ops
-	}
-
 	byAddr := map[string]Owner{}
 	var nodes []string
-	for _, o := range b.Candidates {
-		if _, dup := byAddr[o.Addr]; !dup {
-			byAddr[o.Addr] = o
-			nodes = append(nodes, o.Addr)
-		}
-	}
-	for _, o := range m.Owners {
-		if _, dup := byAddr[o.Addr]; !dup {
-			byAddr[o.Addr] = o
-			nodes = append(nodes, o.Addr)
+	for _, owners := range [][]Owner{b.Candidates, m.Owners} {
+		for _, o := range owners {
+			if _, dup := byAddr[o.Addr]; !dup {
+				byAddr[o.Addr] = o
+				nodes = append(nodes, o.Addr)
+			}
 		}
 	}
 	sort.Strings(nodes)
 
-	resources := make([]pufferscale.Resource, 0, m.NumShards())
-	for s := 0; s < m.NumShards(); s++ {
+	// resources[s] is shard s.
+	resources := make([]pufferscale.Resource, m.NumShards())
+	for s := range resources {
 		st := stats[uint32(s)]
-		resources = append(resources, pufferscale.Resource{
-			ID:   fmt.Sprintf("shard-%d", s),
+		resources[s] = pufferscale.Resource{
+			ID:   strconv.Itoa(s),
 			Node: m.Owners[s].Addr,
-			Load: loads[uint32(s)],
+			Load: float64(st.Ops),
 			Size: float64(st.Bytes),
-		})
-	}
-	// Measure the imbalance of the *current* placement first: a
-	// move-averse dry run keeps everything in place and reports the
-	// standing max/mean ratio.
-	dry, err := pufferscale.Rebalance(resources, nodes, pufferscale.Objectives{WTime: 1})
-	if err != nil {
-		return nil, err
-	}
-	threshold := b.Threshold
-	if threshold <= 0 {
-		threshold = 1.25
-	}
-	imbalance := dry.LoadImbalance()
-	if imbalance <= threshold {
-		return nil, nil
-	}
-	plan, err := pufferscale.Rebalance(resources, nodes, b.Objectives)
-	if err != nil {
-		return nil, err
-	}
-	if len(plan.Moves) == 0 {
-		return nil, nil
-	}
-	// One move at a time: pick the hottest shard pufferscale wants
-	// relocated.
-	best := -1
-	var bestLoad float64 = -1
-	for i, mv := range plan.Moves {
-		var sid uint32
-		if _, err := fmt.Sscanf(mv.ResourceID, "shard-%d", &sid); err != nil {
-			continue
 		}
-		if l := loads[sid]; l > bestLoad {
-			bestLoad, best = l, i
+	}
+	plan, imbalance, err := b.eval.Evaluate(resources, nodes, b.Objectives, b.Threshold, math.Inf(1))
+	if plan == nil || err != nil {
+		return nil, err
+	}
+	// One move at a time: the hottest shard the plan relocates.
+	best := -1
+	for s, r := range resources {
+		if plan.Assignment[r.ID] != r.Node && (best < 0 || r.Load > resources[best].Load) {
+			best = s
 		}
 	}
 	if best < 0 {
 		return nil, nil
 	}
-	mv := plan.Moves[best]
-	var sid uint32
-	fmt.Sscanf(mv.ResourceID, "shard-%d", &sid)
 	return &Decision{
-		Shard:     sid,
-		From:      m.Owners[sid],
-		To:        byAddr[mv.To],
+		Shard:     uint32(best),
+		From:      m.Owners[best],
+		To:        byAddr[plan.Assignment[resources[best].ID]],
 		Imbalance: imbalance,
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"mochi/internal/codec"
@@ -235,11 +236,12 @@ func parseSnapshotMeta(meta map[string]string) (shardID uint32, migID uint64, er
 	if meta == nil {
 		return 0, 0, fmt.Errorf("router: snapshot without metadata")
 	}
-	var s, m uint64
-	if _, err := fmt.Sscanf(meta[metaShard], "%d", &s); err != nil {
+	s, err := strconv.ParseUint(meta[metaShard], 10, 32)
+	if err != nil {
 		return 0, 0, fmt.Errorf("router: bad shard metadata %q", meta[metaShard])
 	}
-	if _, err := fmt.Sscanf(meta[metaMig], "%d", &m); err != nil {
+	m, err := strconv.ParseUint(meta[metaMig], 10, 64)
+	if err != nil {
 		return 0, 0, fmt.Errorf("router: bad migration metadata %q", meta[metaMig])
 	}
 	return uint32(s), m, nil

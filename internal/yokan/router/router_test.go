@@ -297,6 +297,35 @@ func TestBalancerMovesHottestShard(t *testing.T) {
 	}
 }
 
+// The balancer weighs the load of its own interval: once it has moved
+// the hot shard, a second Step on an idle cluster sees no traffic and
+// moves nothing. The moved shard's counter on its new owner is a
+// first sighting, not a diff against the old owner's count.
+func TestBalancerIdleAfterMove(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 3, shards: 8, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	r := c.router()
+	for i := 0; i < 500; i++ {
+		if err := r.Put(ctx, []byte(fmt.Sprintf("key-%d", i%40)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := NewBalancer(c.client, []Owner{c.nodes[0].Self(), c.nodes[1].Self(), c.nodes[2].Self()})
+	if d, err := b.Step(ctx, r.Map()); err != nil || d == nil {
+		t.Fatalf("first step: %+v, %v; want a move", d, err)
+	}
+	if err := r.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.Step(ctx, r.Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != nil {
+		t.Fatalf("second step on an idle cluster moved shard %d (imbalance %.2f)", d.Shard, d.Imbalance)
+	}
+}
+
 // Bootstrap must fetch a usable map from any live node.
 func TestBootstrapFromNode(t *testing.T) {
 	c := newCluster(t, clusterConfig{nodes: 2, shards: 4})
